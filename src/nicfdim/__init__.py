@@ -7,6 +7,7 @@ ledger."""
 from .exactnum import (
     DivergentTailError,
     Interval,
+    NumericRangeError,
     interval_pow,
     log_interval,
     pow_enclosure,

@@ -42,7 +42,7 @@ class Word:
     """An admissible digit string with cached convergents.
 
     The q-sequence index runs 0..len(digits); q[0] = 1.  Instances are
-    immutable; ``extended`` returns a new word with one more digit.
+    immutable.
     """
 
     __slots__ = ("digits", "p", "q")
@@ -81,9 +81,6 @@ class Word:
     @property
     def last(self) -> int:
         return self.digits[-1]
-
-    def extended(self, d: int) -> "Word":
-        return Word(self.digits + (int(d),))
 
     def q_ratio(self) -> Fraction:
         """|q_(n-1) / q_n| for the full word."""

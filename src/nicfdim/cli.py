@@ -11,7 +11,9 @@ Subcommands map one-to-one onto library capabilities:
     appendix                                    worked similarity systems
 
 Exit codes: 0 success, 2 parse errors, 3 indeterminate certification
-(e.g. a dimension tolerance that was not achieved).  All numeric CSV
+(e.g. a dimension tolerance that was not achieved), 4 a numeric-range
+failure (a word denominator or partition sum outside the range of the
+float lane).  ``--threads`` is accepted and has no effect.  All numeric CSV
 fields are shortest-round-trip doubles rounded outward from the exact
 rational bounds, so downstream consumers keep two-sided rigor.
 """
@@ -29,7 +31,8 @@ from typing import List, Optional, Sequence
 _NEGATIVE_VALUE = re.compile(r"^-\d")
 
 from .cf_core import Word, convergents, nicf_digits, singularize
-from .exactnum import DivergentTailError, float_down, float_up
+from .exactnum import DivergentTailError, NumericRangeError
+from .exactnum import float_down as _out_lo, float_up as _out_hi
 from .ledger import case_ids, render_table, results_to_json, run_all, run_case
 from .nicf_system import vertex_alphabet
 from .pressure_dim import (
@@ -44,6 +47,7 @@ from .symbolic import AlphabetSelection
 
 PARSE_ERROR = 2
 INDETERMINATE = 3
+NUMERIC_RANGE = 4
 
 
 class SpecParseError(ValueError):
@@ -133,14 +137,6 @@ def _parse_t_grid(spec: str) -> List[Fraction]:
     return out
 
 
-def _out_lo(x: Fraction) -> float:
-    return float_down(x)
-
-
-def _out_hi(x: Fraction) -> float:
-    return float_up(x)
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -172,8 +168,7 @@ def _cmd_nicf(args) -> int:
 def _cmd_dim(args) -> int:
     sel = parse_alphabet_spec(args.alphabet)
     tol = _parse_rational(args.tol)
-    di = dim_interval(DigitIfs(sel), args.depth, tol,
-                      bits=args.bits, threads=args.threads)
+    di = dim_interval(DigitIfs(sel), args.depth, tol, bits=args.bits)
     print(json.dumps({"lo": _out_lo(di.lo), "hi": _out_hi(di.hi),
                       "depth": di.depth}))
     return 0 if di.achieved() else INDETERMINATE
@@ -184,8 +179,7 @@ def _cmd_pressure(args) -> int:
     grid = _parse_t_grid(args.t_grid)
     rows = ["t,pressure_lo,pressure_hi"]
     for t in grid:
-        pb = pressure_bounds(DigitIfs(sel), t, args.depth,
-                             bits=args.bits, threads=args.threads)
+        pb = pressure_bounds(DigitIfs(sel), t, args.depth, bits=args.bits)
         if is_divergent(pb):
             rows.append(f"{float(t)!r},inf,inf")
         else:
@@ -202,7 +196,7 @@ def _cmd_pressure(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     trace = construct(_parse_rational(args.target), args.system, args.budget,
-                      args.depth, bits=args.bits, threads=args.threads)
+                      args.depth, bits=args.bits)
     print(json.dumps(trace.to_json_dict(), indent=2))
     return 0
 
@@ -278,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--bits", type=int, default=64,
                     help="working precision for enclosures (default 64)")
     ap.add_argument("--threads", type=int, default=1,
-                    help="threads for partition sums; output is identical "
-                         "for every value")
+                    help="accepted for compatibility; has no effect")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     nicf = sub.add_parser("nicf", help="continued-fraction digit queries")
@@ -343,6 +336,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = ap.parse_args(argv)
     try:
         return _DISPATCH[args.cmd](args)
+    except NumericRangeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return NUMERIC_RANGE
     except (SpecParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR

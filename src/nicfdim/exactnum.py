@@ -35,6 +35,11 @@ class DivergentTailError(ValueError):
     """Raised when a series tail fails the convergence precondition."""
 
 
+class NumericRangeError(ArithmeticError):
+    """Raised when a value leaves the range of the guarded float lane
+    (overflow, or a positive value that underflows to zero)."""
+
+
 def _frac(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -61,11 +66,6 @@ class Interval:
         x = _frac(x)
         return Interval(x, x)
 
-    @staticmethod
-    def hull(*xs: RationalLike) -> "Interval":
-        fs = [_frac(x) for x in xs]
-        return Interval(min(fs), max(fs))
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -82,16 +82,6 @@ class Interval:
             return self.lo <= other.lo and other.hi <= self.hi
         x = _frac(other)
         return self.lo <= x <= self.hi
-
-    def strictly_below(self, other: Union["Interval", RationalLike]) -> bool:
-        """True iff every point of self is < every point of other."""
-        lo = other.lo if isinstance(other, Interval) else _frac(other)
-        return self.hi < lo
-
-    def below(self, other: Union["Interval", RationalLike]) -> bool:
-        """True iff every point of self is <= every point of other."""
-        lo = other.lo if isinstance(other, Interval) else _frac(other)
-        return self.hi <= lo
 
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
@@ -141,13 +131,6 @@ class Interval:
             return Interval(self.hi ** n, self.lo ** n)
         # even power of an interval straddling zero
         return Interval(Fraction(0), max(self.lo ** n, self.hi ** n))
-
-    def abs(self) -> "Interval":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return Interval(Fraction(0), max(-self.lo, self.hi))
 
     def __repr__(self) -> str:
         return f"Interval({self.lo}, {self.hi})"
@@ -380,9 +363,10 @@ def log_interval(x: Union[Interval, RationalLike]) -> Interval:
         raise ValueError("log of non-positive interval")
     if x.is_point() and x.lo == 1:
         return Interval.point(0)
-    lo = flog_down(float_down(x.lo))
-    hi = flog_up(float_up(x.hi))
-    return Interval(Fraction(lo), Fraction(hi))
+    lo = float_down(x.lo)
+    if lo == 0:
+        raise NumericRangeError("log of a positive value below the float range")
+    return Interval(Fraction(flog_down(lo)), Fraction(flog_up(float_up(x.hi))))
 
 
 def exp_interval(x: Union[Interval, RationalLike]) -> Interval:

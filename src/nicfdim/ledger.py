@@ -32,6 +32,7 @@ from .nicf_system import (
     k4_corrected_interval,
     k4_printed_interval,
     k_prec4_interval,
+    run_factor_interval,
 )
 
 _ESCALATION: Tuple[Tuple[int, int], ...] = (
@@ -73,7 +74,11 @@ class LedgerResult:
 
 def _decide(make_lhs: Callable[[int, int], Interval],
             make_rhs: Callable[[int, int], Interval]) -> Tuple[str, Interval, Interval]:
-    """Escalate (terms, bits) until the comparison lhs <= rhs separates."""
+    """Escalate (terms, bits) until the comparison lhs <= rhs separates.
+
+    Not shared with ``spectrum._decide``: the ledger certifies the
+    displayed non-strict lhs <= rhs and escalates further, while the
+    letter-addition criterion needs the strict M_b < 2 sum m_c."""
     lhs = rhs = None
     for terms, bits in _ESCALATION:
         lhs = make_lhs(terms, bits)
@@ -205,11 +210,6 @@ def _case_esti(k_max: int = 200) -> LedgerResult:
     )
 
 
-def _rhs_pm5(bits: int) -> Interval:
-    s2 = surd_enclosure(2, bits)
-    return 1 + (1 + s2) / (2 * (Fraction(3, 2) + s2) ** 2)
-
-
 def _case_pm5(k_max: int = 200) -> LedgerResult:
     rows = []
     tight = None
@@ -222,7 +222,7 @@ def _case_pm5(k_max: int = 200) -> LedgerResult:
         prev = val
         verdict, lhs, rhs = _decide(
             lambda terms, bits, v=val: Interval.point(v),
-            lambda terms, bits: _rhs_pm5(bits),
+            lambda terms, bits: 1 + run_factor_interval(bits),
         )
         rows.append(SweepRow({"k": k}, verdict, _margin(lhs, rhs)))
         if k == 5:
@@ -238,8 +238,8 @@ def _case_pm5(k_max: int = 200) -> LedgerResult:
     )
 
 
-def _weighted_tail(m: int, num: Tuple[int, int], den: Tuple[int, int],
-                   terms: int, bits: int) -> Interval:
+def weighted_tail(m: int, num: Tuple[int, int], den: Tuple[int, int],
+                  terms: int, bits: int) -> Interval:
     """sum_{l >= m} ((num0*l + num1)/(den0*l + den1))**2 (l + 1/2)**-2 with a
     weight decreasing toward (num0/den0)**2."""
     lo = Fraction(0)
@@ -259,10 +259,8 @@ def _case_pm4() -> LedgerResult:
     def rhs(weights):
         def make(terms, bits):
             terms = max(terms, 64)
-            s2 = surd_enclosure(2, bits)
-            g = (1 + s2) / (2 * (Fraction(3, 2) + s2) ** 2)
-            a_sum = _weighted_tail(5, weights[0], weights[1], terms, bits)
-            b_sum = Fraction(18, 25) * g * tail_sum_enclosure(
+            a_sum = weighted_tail(5, weights[0], weights[1], terms, bits)
+            b_sum = Fraction(18, 25) * run_factor_interval(bits) * tail_sum_enclosure(
                 3, HALF, 1, terms=terms, bits=bits)
             return 2 * a_sum + b_sum
         return make
@@ -411,17 +409,13 @@ def run_all() -> List[LedgerResult]:
 # rendering
 # ---------------------------------------------------------------------------
 
-def _float_of(x: Fraction) -> float:
-    return float(x)
-
-
 def render_table(results: Sequence[LedgerResult]) -> str:
     header = f"{'case':<14} {'verdict':<28} {'margin >=':>14} {'rows':>6}"
     lines = [header, "-" * len(header)]
     for res in results:
         lines.append(
             f"{res.case_id:<14} {res.verdict:<28} "
-            f"{_float_of(res.margin.lo):>14.6g} {len(res.sweep):>6d}")
+            f"{float(res.margin.lo):>14.6g} {len(res.sweep):>6d}")
     return "\n".join(lines)
 
 
@@ -432,14 +426,14 @@ def results_to_json(results: Sequence[LedgerResult]) -> str:
             "case": res.case_id,
             "statement": res.statement,
             "verdict": res.verdict,
-            "lhs": [_float_of(res.lhs.lo), _float_of(res.lhs.hi)],
-            "rhs": [_float_of(res.rhs.lo), _float_of(res.rhs.hi)],
-            "margin": [_float_of(res.margin.lo), _float_of(res.margin.hi)],
+            "lhs": [float(res.lhs.lo), float(res.lhs.hi)],
+            "rhs": [float(res.rhs.lo), float(res.rhs.hi)],
+            "margin": [float(res.margin.lo), float(res.margin.hi)],
             "notes": list(res.notes),
             "sweep": [
                 {"params": dict(row.params), "verdict": row.verdict,
                  "variant": row.variant,
-                 "margin": [_float_of(row.margin.lo), _float_of(row.margin.hi)]}
+                 "margin": [float(row.margin.lo), float(row.margin.hi)]}
                 for row in res.sweep
             ],
         })

@@ -23,11 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .cf_core import Word, admissible_pair
+from .cf_core import HALF, Word, admissible_pair
 from .exactnum import Interval, surd_enclosure
 from .symbolic import GraphSystem
-
-HALF = Fraction(1, 2)
 
 K_GLOBAL = Fraction(25, 9)       # distortion for words ending in a digit of size >= 3
 K_PREC5 = Fraction(64, 25)       # (8/5)**2, words over letters preceding +-5
@@ -70,6 +68,14 @@ def k_prec4_interval(bits: int = 96) -> Interval:
     """((7 - sqrt5)/(1 + sqrt5))**2: distortion over words preceding +-4."""
     s5 = surd_enclosure(5, bits)
     return ((7 - s5) / (1 + s5)) ** 2
+
+
+@lru_cache(maxsize=8)
+def run_factor_interval(bits: int = 96) -> Interval:
+    """g = sum_{r>=1} [(3/2 + sqrt2)(1 + sqrt2)**(r-1)]**-2
+         = (1 + sqrt2) / (2 (3/2 + sqrt2)**2): the run letters' weight."""
+    s2 = surd_enclosure(2, bits)
+    return (1 + s2) / (2 * (Fraction(3, 2) + s2) ** 2)
 
 
 @lru_cache(maxsize=8)
@@ -195,10 +201,6 @@ class LoopLetter:
         if self.j == 1:
             return f"{head}{tail}"
         return f"{head}^{self.j}{tail}"
-
-
-def loop_norm_bounds(letter: LoopLetter) -> Tuple[Fraction, Fraction]:
-    return norm_bounds(letter.word)
 
 
 def vertex_alphabet(budget: int) -> List[LoopLetter]:

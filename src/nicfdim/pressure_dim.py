@@ -15,15 +15,19 @@ pressure never need a limit:
 Dimension intervals come from bisection on t using only such
 certificates; no uncertified digit is ever emitted.  Partition sums run
 either in the exact rational lane (small word counts, small exponent
-denominators) or in the guarded float lane; both are deterministic and
-independent of the thread count, since per-letter chunks are combined
-in a fixed order.
+denominators) or in the guarded float lane; both are deterministic,
+since per-letter partial sums are combined in a fixed order.
+
+Every system (``DigitIfs``, ``LoopIfs``, ``SimilarityIfs``) offers the
+same members: ``letter_count``, ``infinite_alphabet``, ``theta``,
+``k_interval(bits)``, ``ladder(max_depth, word_budget)`` and
+``partition_sum_body(t, n, bits)``; the functions below call those
+instead of asking which kind of system they hold.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
@@ -31,6 +35,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple, Union
 from .exactnum import (
     DivergentTailError,
     Interval,
+    NumericRangeError,
     float_down,
     float_up,
     fpow_bounds,
@@ -77,8 +82,64 @@ def is_divergent(x) -> bool:
 # systems
 # ---------------------------------------------------------------------------
 
+class _WordTreeIfs:
+    """Systems whose word norms come from continuant letter matrices.
+
+    Subclasses supply ``letters``, ``infinite_alphabet``, ``k_interval``,
+    the letter matrices ``_mats()`` and the letter tail mass
+    ``_tail_mass(t, bits)`` (None for a finite alphabet, else an upper
+    enclosure or DIVERGENT); the word-tree sum is shared.
+    """
+
+    @property
+    def letter_count(self) -> int:
+        return len(self.letters)
+
+    @property
+    def theta(self) -> Fraction:
+        """Finiteness exponent: tail letters have mass ~ (k - 1/2)**(-2t)."""
+        return HALF if self.infinite_alphabet else Fraction(0)
+
+    def ladder(self, max_depth: int, word_budget: int) -> List[int]:
+        """Depths 1, 2, 4, ... up to the deepest affordable within budget."""
+        cap = max_depth
+        if self.letter_count >= 2:
+            while cap > 1 and self.letter_count ** cap > word_budget:
+                cap -= 1
+        ns = []
+        n = 1
+        while n < cap:
+            ns.append(n)
+            n *= 2
+        ns.append(cap)
+        return ns
+
+    def partition_sum_body(self, t: Fraction, n: int, bits: int):
+        """Z_n(t) for t >= 0, n >= 1 (see ``partition_sum``)."""
+        mats = self._mats()
+        tail = self._tail_mass(t, bits)
+        if is_divergent(tail):
+            return DIVERGENT
+        if t == 0:  # a tail diverges at t = 0, so the alphabet is finite here
+            return Interval.point(Fraction(len(mats)) ** n)
+
+        exact = (t.denominator <= _EXACT_DEN_CAP
+                 and len(mats) ** n <= _EXACT_WORD_CAP)
+        core = _z_exact(mats, n, t, bits) if exact else _z_float(mats, n, t)
+
+        if tail is None:
+            return core
+        if n == 1:
+            return Interval(core.lo + tail.lo, core.hi + tail.hi)
+        sigma_t = Interval.point(0)
+        for m in mats:
+            sigma_t = sigma_t + pow_iv(_sup_from_state(m[0], m[2]), t, bits)
+        correction = ((sigma_t + tail) ** n).hi - (sigma_t ** n).lo
+        return Interval(core.lo, core.hi + max(correction, 0))
+
+
 @dataclass(frozen=True)
-class DigitIfs:
+class DigitIfs(_WordTreeIfs):
     """The restricted-digit system Phi_F for F with all |b| >= 3 (full shift)."""
 
     selection: AlphabetSelection
@@ -93,14 +154,32 @@ class DigitIfs:
     def letters(self) -> Tuple[int, ...]:
         return self.selection.letters
 
+    @property
+    def infinite_alphabet(self) -> bool:
+        return self.selection.is_cofinite
+
     def k_interval(self, bits: int = 96) -> Interval:
         beta = (alpha_interval(bits) if self.selection.min_magnitude() == 3
                 else beta4_interval(bits))
         return distortion_from_ratio(beta)
 
+    def _mats(self):
+        return [_letter_matrix((b,)) for b in self.letters]
+
+    def _tail_mass(self, t: Fraction, bits: int):
+        """Mass of the cofinite tail letters, both signs:
+        2 * sum_{k > trunc} (k - 1/2)**(-2t)."""
+        if not self.infinite_alphabet:
+            return None
+        if 2 * t <= 1:
+            return DIVERGENT
+        # (k - 1/2) for k >= trunc+1 equals (j + 1/2) for j >= trunc
+        return 2 * tail_sum_enclosure(self.selection.trunc, HALF, t, terms=2,
+                                      bits=bits)
+
 
 @dataclass(frozen=True)
-class LoopIfs:
+class LoopIfs(_WordTreeIfs):
     """A finite set of vertex loop letters, optionally carrying the tail of
     the full induced alphabet beyond the truncation grid j <= j_max,
     k <= k_max (``letters`` must then be exactly that grid)."""
@@ -110,8 +189,20 @@ class LoopIfs:
     j_max: int = 0
     k_max: int = 0
 
+    @property
+    def infinite_alphabet(self) -> bool:
+        return self.with_tail
+
     def k_interval(self, bits: int = 96) -> Interval:
         return Interval.point(K_GLOBAL)
+
+    def _mats(self):
+        return [_letter_matrix(l.word_digits) for l in self.letters]
+
+    def _tail_mass(self, t: Fraction, bits: int):
+        if not self.with_tail:
+            return None
+        return vertex_tail_bound(t, self.j_max, self.k_max, bits)
 
 
 def vertex_system(j_max: int, k_max: int) -> LoopIfs:
@@ -145,8 +236,39 @@ class SimilarityIfs:
             if not (0 < r < 1 and 0 < base < 1):
                 raise ValueError("not a contraction")
 
+    @property
+    def letter_count(self) -> int:
+        return max(len(self.ratios) + len(self.families), 1)
+
+    @property
+    def infinite_alphabet(self) -> bool:
+        return bool(self.families)
+
+    @property
+    def theta(self) -> Fraction:
+        return Fraction(0)  # geometric families converge for every t > 0
+
     def k_interval(self, bits: int = 96) -> Interval:
         return Interval.point(Fraction(1))
+
+    def ladder(self, max_depth: int, word_budget: int) -> List[int]:
+        return [1]  # Z_n = Z_1**n, deeper adds nothing
+
+    def partition_sum_body(self, t: Fraction, n: int, bits: int,
+                           den_cap: int = 8):
+        if t == 0:
+            if self.families:
+                return DIVERGENT
+            return Interval.point(Fraction(len(self.ratios)) ** n)
+        z1 = Interval.point(0)
+        for r in self.ratios:
+            z1 = z1 + pow_iv(r, t, bits, den_cap)
+        for base, r in self.families:
+            rt = pow_iv(r, t, bits, den_cap)
+            if rt.hi >= 1:
+                return DIVERGENT
+            z1 = z1 + pow_iv(base, t, bits, den_cap) / (1 - rt)
+        return z1 ** n
 
 
 System = Union[DigitIfs, LoopIfs, SimilarityIfs]
@@ -210,8 +332,11 @@ def _sup_from_state(q: int, qp: int) -> Fraction:
     return Fraction(4, d * d)
 
 
-def _z_exact(mats, n: int, t: Fraction, bits: int, threads: int) -> Interval:
-    def sum_from(m0) -> Interval:
+def _z_exact(mats, n: int, t: Fraction, bits: int) -> Interval:
+    # one sum per first letter: running rational sums grow their
+    # denominators with every term, so shorter runs are cheaper
+    los, his = [], []
+    for m0 in mats:
         lo = Fraction(0)
         hi = Fraction(0)
         stack = [(1, m0[0], m0[2])]
@@ -224,10 +349,9 @@ def _z_exact(mats, n: int, t: Fraction, bits: int, threads: int) -> Interval:
                 continue
             for a, b, c, dd in mats:
                 stack.append((depth + 1, a * q + b * qp, c * q + dd * qp))
-        return Interval(lo, hi)
-
-    chunks = _map_chunks(sum_from, mats, threads)
-    return Interval(sum(c.lo for c in chunks), sum(c.hi for c in chunks))
+        los.append(lo)
+        his.append(hi)
+    return Interval(sum(los), sum(his))
 
 
 # Per-term relative slack folded outward around the raw float sum.  It
@@ -240,32 +364,32 @@ def _z_exact(mats, n: int, t: Fraction, bits: int, threads: int) -> Interval:
 _TERM_SLACK = 2.0 ** -44
 
 
-def _z_float(mats, n: int, t: Fraction, threads: int) -> Interval:
+def _z_float(mats, n: int, t: Fraction) -> Interval:
     tf = float(t)
     t_exact = Fraction(tf) == t
-
-    def sum_from(m0) -> Tuple[float, int, int]:
-        acc = 0.0
-        count = 0
-        dmax = 2
-        stack = [(1, m0[0], m0[2])]
-        while stack:
-            depth, q, qp = stack.pop()
-            if depth == n:
-                d = 2 * abs(q) - abs(qp)
-                acc += (4.0 / float(d * d)) ** tf
-                count += 1
-                if d > dmax:
-                    dmax = d
-                continue
-            for a, b, c, dd in mats:
-                stack.append((depth + 1, a * q + b * qp, c * q + dd * qp))
-        return acc, count, dmax
-
-    chunks = _map_chunks(sum_from, mats, threads)
-    raw = math.fsum(c for c, _, _ in chunks)  # exact rounding of chunk sums
-    count = sum(k for _, k, _ in chunks)
-    dmax = max(dm for _, _, dm in chunks)
+    partial = []  # one naive sum per first letter, in letter order
+    count = 0
+    dmax = 2
+    try:
+        for m0 in mats:
+            acc = 0.0
+            stack = [(1, m0[0], m0[2])]
+            while stack:
+                depth, q, qp = stack.pop()
+                if depth == n:
+                    d = 2 * abs(q) - abs(qp)
+                    acc += (4.0 / float(d * d)) ** tf
+                    count += 1
+                    if d > dmax:
+                        dmax = d
+                    continue
+                for a, b, c, dd in mats:
+                    stack.append((depth + 1, a * q + b * qp, c * q + dd * qp))
+            partial.append(acc)
+    except OverflowError:
+        raise NumericRangeError(
+            f"a depth-{n} word denominator exceeds the float range") from None
+    raw = math.fsum(partial)  # exact rounding of the per-letter sums
     slack = _TERM_SLACK + count * 2.0 ** -51
     if not t_exact:
         slack += 4.0 * float(t) * math.log(dmax) * 2.0 ** -53
@@ -275,22 +399,6 @@ def _z_float(mats, n: int, t: Fraction, threads: int) -> Interval:
     lo = next_down(raw - raw * slack - subnormal, 2)
     hi = next_up(raw + raw * slack + subnormal, 2)
     return Interval(max(Fraction(lo), Fraction(0)), Fraction(hi))
-
-
-def _map_chunks(fn, mats, threads):
-    """Apply fn per first letter; combine in fixed letter order."""
-    if threads <= 1 or len(mats) <= 1:
-        return [fn(m) for m in mats]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, mats))
-
-
-def _digit_tail_letter_mass(selection: AlphabetSelection, t: Fraction,
-                            bits: int) -> Interval:
-    """Mass of the cofinite tail letters, both signs:
-    2 * sum_{k > trunc} (k - 1/2)**(-2t)."""
-    # (k - 1/2) for k >= trunc+1 equals (j + 1/2) for j >= trunc
-    return 2 * tail_sum_enclosure(selection.trunc, HALF, t, terms=2, bits=bits)
 
 
 def vertex_tail_bound(t: Fraction, j_max: int, k_max: int, bits: int = 96):
@@ -325,7 +433,8 @@ def partition_sum(system, t: Fraction, n: int, *, bits: int = 64,
     tails exactly at n = 1; for n >= 2 the lower bound is the truncated
     enumeration and the upper bound adds the letterwise-product
     correction (sigma_T + sigma_L)**n - sigma_T**n, valid because word
-    norms are submultiplicative.
+    norms are submultiplicative.  ``threads`` is accepted for
+    compatibility and has no effect: the sum runs on one thread.
     """
     system = as_system(system)
     t = Fraction(t)
@@ -333,63 +442,7 @@ def partition_sum(system, t: Fraction, n: int, *, bits: int = 64,
         raise ValueError("needs t >= 0")
     if n < 1:
         raise ValueError("needs depth n >= 1")
-
-    if isinstance(system, SimilarityIfs):
-        return _z_similarity(system, t, n, bits)
-
-    if isinstance(system, DigitIfs):
-        letters: Sequence = system.letters
-        mats = [_letter_matrix((b,)) for b in letters]
-        tail = None
-        if system.selection.is_cofinite:
-            if 2 * t <= 1:
-                return DIVERGENT
-            tail = _digit_tail_letter_mass(system.selection, t, bits)
-    else:
-        letters = system.letters
-        mats = [_letter_matrix(l.word_digits) for l in letters]
-        tail = None
-        if system.with_tail:
-            tail = vertex_tail_bound(t, system.j_max, system.k_max, bits)
-            if is_divergent(tail):
-                return DIVERGENT
-
-    if t == 0:
-        if tail is not None:
-            return DIVERGENT
-        return Interval.point(Fraction(len(letters)) ** n)
-
-    exact = (t.denominator <= _EXACT_DEN_CAP
-             and len(letters) ** n <= _EXACT_WORD_CAP)
-    core = (_z_exact(mats, n, t, bits, threads) if exact
-            else _z_float(mats, n, t, threads))
-
-    if tail is None:
-        return core
-    if n == 1:
-        return Interval(core.lo + tail.lo, core.hi + tail.hi)
-    sigma_t = Interval.point(0)
-    for m in mats:
-        sigma_t = sigma_t + pow_iv(_sup_from_state(m[0], m[2]), t, bits)
-    correction = ((sigma_t + tail) ** n).hi - (sigma_t ** n).lo
-    return Interval(core.lo, core.hi + max(correction, 0))
-
-
-def _z_similarity(system: SimilarityIfs, t: Fraction, n: int, bits: int,
-                  den_cap: int = 8):
-    if t == 0:
-        if system.families:
-            return DIVERGENT
-        return Interval.point(Fraction(len(system.ratios)) ** n)
-    z1 = Interval.point(0)
-    for r in system.ratios:
-        z1 = z1 + pow_iv(r, t, bits, den_cap)
-    for base, r in system.families:
-        rt = pow_iv(r, t, bits, den_cap)
-        if rt.hi >= 1:
-            return DIVERGENT
-        z1 = z1 + pow_iv(base, t, bits, den_cap) / (1 - rt)
-    return z1 ** n
+    return system.partition_sum_body(t, n, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +461,17 @@ class PressureBounds:
         return Interval(self.lo, self.hi)
 
 
-def pressure_bounds(system, t: Fraction, n: int, *, bits: int = 64,
-                    threads: int = 1):
+def pressure_bounds(system, t: Fraction, n: int, *, bits: int = 64):
     """Two-sided pressure enclosure at depth n, or DIVERGENT."""
     system = as_system(system)
     t = Fraction(t)
-    z = partition_sum(system, t, n, bits=bits, threads=threads)
+    z = partition_sum(system, t, n, bits=bits)
     if is_divergent(z):
         return DIVERGENT
     if z.lo <= 0:
-        raise ValueError("partition sum vanishes at this precision; no finite "
-                         "lower pressure bound at this depth/exponent")
+        raise NumericRangeError(
+            "partition sum vanishes at this precision; no finite lower "
+            "pressure bound at this depth/exponent")
     k = system.k_interval(bits)
     log_z = log_interval(z)
     log_k_t = log_interval(k) * t
@@ -434,48 +487,16 @@ def pressure_bounds(system, t: Fraction, n: int, *, bits: int = 64,
 def _k_pow_hi(system: System, t: Fraction, bits: int) -> Fraction:
     """Upper bound of K**t."""
     k = system.k_interval(bits)
-    if k.hi == 1 or t == 0:
-        return Fraction(1)
-    if t.denominator == 1:
-        return k.hi ** t.numerator
-    if t.denominator <= _EXACT_DEN_CAP:
-        return pow_enclosure(k.hi, t, bits).hi
-    return Fraction(next_up(math.pow(float_up(k.hi), float_up(t)), 8))
-
-
-def _depth_ladder(letter_count: int, max_depth: int, word_budget: int) -> List[int]:
-    cap = max_depth
-    if letter_count >= 2:
-        while cap > 1 and letter_count ** cap > word_budget:
-            cap -= 1
-    ns = []
-    n = 1
-    while n < cap:
-        ns.append(n)
-        n *= 2
-    ns.append(cap)
-    return ns
-
-
-def _system_letter_count(system: System) -> int:
-    if isinstance(system, SimilarityIfs):
-        return max(len(system.ratios) + len(system.families), 1)
-    return len(system.letters)
-
-
-def _ladder(system: System, max_depth: int, word_budget: int) -> List[int]:
-    if isinstance(system, SimilarityIfs):
-        return [1]  # Z_n = Z_1**n, deeper adds nothing
-    return _depth_ladder(_system_letter_count(system), max_depth, word_budget)
+    return Fraction(1) if k.hi == 1 else pow_iv(k.hi, t, bits).hi
 
 
 def certify_nonpos(system, t: Fraction, max_depth: int, *, bits: int = 64,
-                   word_budget: int = 300_000, threads: int = 1) -> bool:
+                   word_budget: int = 300_000) -> bool:
     """True iff some depth n <= max_depth certifies P(t) <= 0 via Z_n <= 1."""
     system = as_system(system)
     t = Fraction(t)
-    for n in _ladder(system, max_depth, word_budget):
-        z = partition_sum(system, t, n, bits=bits, threads=threads)
+    for n in system.ladder(max_depth, word_budget):
+        z = partition_sum(system, t, n, bits=bits)
         if is_divergent(z):
             return False
         if z.hi <= 1:
@@ -484,15 +505,15 @@ def certify_nonpos(system, t: Fraction, max_depth: int, *, bits: int = 64,
 
 
 def certify_nonneg(system, t: Fraction, max_depth: int, *, bits: int = 64,
-                   word_budget: int = 300_000, threads: int = 1) -> bool:
+                   word_budget: int = 300_000) -> bool:
     """True iff some depth certifies P(t) >= 0 via Z_n >= K**t; a divergent
     partition sum certifies immediately (the pressure is then infinite)."""
     system = as_system(system)
     t = Fraction(t)
     if t == 0:
         return True  # P(0) = log(letter count) >= 0 for nonempty alphabets
-    for n in _ladder(system, max_depth, word_budget):
-        z = partition_sum(system, t, n, bits=bits, threads=threads)
+    for n in system.ladder(max_depth, word_budget):
+        z = partition_sum(system, t, n, bits=bits)
         if is_divergent(z):
             return True
         if z.lo >= _k_pow_hi(system, t, bits):
@@ -527,7 +548,7 @@ _UPPER_STARTS = (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fract
 
 
 def dim_interval(system, max_depth: int, tol, *, bits: int = 64,
-                 word_budget: int = 300_000, threads: int = 1) -> DimensionInterval:
+                 word_budget: int = 300_000) -> DimensionInterval:
     """Certified enclosure of the Bowen root by bisection on t.
 
     The left endpoint always carries a P >= 0 certificate (t = 0 needs
@@ -537,7 +558,7 @@ def dim_interval(system, max_depth: int, tol, *, bits: int = 64,
     """
     system = as_system(system)
     tol = Fraction(tol)
-    kw = dict(bits=bits, word_budget=word_budget, threads=threads)
+    kw = dict(bits=bits, word_budget=word_budget)
 
     a = Fraction(0)
     b = None
@@ -590,23 +611,16 @@ class FinitenessExponent:
     witness: Mapping[str, object]
 
 
-def _has_letter_tail(system: System) -> bool:
-    return ((isinstance(system, DigitIfs) and system.selection.is_cofinite)
-            or (isinstance(system, LoopIfs) and system.with_tail))
-
-
 def finiteness_exponent(system) -> FinitenessExponent:
     """theta = inf{t : Z_1(t) converges}, with certificates around it."""
     system = as_system(system)
-    if isinstance(system, SimilarityIfs):
-        if system.families:
-            w = {"diverges_at": "0 (infinitely many letters)",
-                 "converges_for": "every t > 0 (geometric families)"}
-            return FinitenessExponent(Fraction(0), w)
+    if not system.infinite_alphabet:
         return FinitenessExponent(Fraction(0), {"reason": "finite alphabet"})
-    if not _has_letter_tail(system):
-        return FinitenessExponent(Fraction(0), {"reason": "finite alphabet"})
-    t_conv = Fraction(9, 16)
+    if system.theta == 0:
+        w = {"diverges_at": "0 (infinitely many letters)",
+             "converges_for": "every t > 0 (geometric families)"}
+        return FinitenessExponent(Fraction(0), w)
+    t_conv = system.theta + Fraction(1, 16)
     z1 = partition_sum(system, t_conv, 1, bits=64)
     w = {
         "diverges_at": "every t <= 1/2: the one-letter sum dominates a tail "
@@ -614,7 +628,7 @@ def finiteness_exponent(system) -> FinitenessExponent:
         "converges_at": str(t_conv),
         "z1_upper_at_witness": float_up(z1.hi),
     }
-    return FinitenessExponent(Fraction(1, 2), w)
+    return FinitenessExponent(system.theta, w)
 
 
 _NATURE_GRID = (Fraction(9, 16), Fraction(5, 8), Fraction(3, 4), Fraction(7, 8),
@@ -628,16 +642,13 @@ def classify_nature(system, depth: int = 6,
     sampled certificates decide nothing."""
     system = as_system(system)
     theta = finiteness_exponent(system).theta
-    count = _system_letter_count(system)
-    finite_alphabet = not _has_letter_tail(system) and not (
-        isinstance(system, SimilarityIfs) and system.families)
-    if finite_alphabet:
-        if count >= 2:
+    if not system.infinite_alphabet:
+        if system.letter_count >= 2:
             return "strongly regular"  # 0 < P(0) = log(count) < inf, exactly
         return "critically regular"    # singleton: P(theta) = P(0) = 0
     samples = list(t_samples) if t_samples is not None else [
         t for t in _NATURE_GRID if t > theta]
-    ladder = _ladder(system, depth, word_budget)
+    ladder = system.ladder(depth, word_budget)
     for t in samples:
         for n in ladder:
             pb = pressure_bounds(system, Fraction(t), n, bits=bits)
@@ -692,7 +703,7 @@ class VertexLoopSpec:
                 + sum(f.count_up_to(max_len) for f in self.families))
 
     def z1_closed(self, t: Fraction, bits: int = 64, den_cap: int = 64):
-        return _z_similarity(self.similarity_ifs(), t, 1, bits, den_cap)
+        return self.similarity_ifs().partition_sum_body(Fraction(t), 1, bits, den_cap)
 
     def z1_tail_beyond(self, max_len: int, t: Fraction, bits: int = 64,
                        den_cap: int = 64) -> Interval:

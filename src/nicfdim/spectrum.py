@@ -19,11 +19,12 @@ below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .exactnum import Interval, float_down, float_up, surd_enclosure, tail_sum_enclosure
+from .exactnum import Interval, float_down, float_up, tail_sum_enclosure
+from .ledger import weighted_tail
 from .nicf_system import (
     HALF,
     K_GLOBAL,
@@ -31,6 +32,7 @@ from .nicf_system import (
     LoopLetter,
     alpha_interval,
     k_prec4_interval,
+    run_factor_interval,
     vertex_alphabet,
 )
 from .pressure_dim import (
@@ -44,7 +46,6 @@ from .pressure_dim import (
     is_divergent,
     partition_sum,
     pressure_bounds,
-    _ladder,
 )
 from .symbolic import AlphabetSelection
 
@@ -69,13 +70,6 @@ class MmeVerdict:
 def _plain_tail(m: int, terms: int, bits: int) -> Interval:
     """sum_{l >= m} (l + 1/2)**(-2) = tail over j >= m of (j + 1/2)**(-2)."""
     return tail_sum_enclosure(m, HALF, 1, terms=terms, bits=bits)
-
-
-def _geometric_run_factor(bits: int) -> Interval:
-    """g = sum_{r>=1} [(3/2 + sqrt2)(1 + sqrt2)**(r-1)]**-2
-         = (1 + sqrt2) / (2 (3/2 + sqrt2)**2)."""
-    s2 = surd_enclosure(2, bits)
-    return (1 + s2) / (2 * (Fraction(3, 2) + s2) ** 2)
 
 
 def _decide(lhs: Interval, rhs: Interval) -> Optional[bool]:
@@ -145,37 +139,18 @@ def mme_check(b: Union[int, LoopLetter], system: str, bits: int = 128) -> MmeVer
         elif k == 5:
             # sharper distortion over the preceding letters, and the run
             # letters 2^r l with l >= 6 join the successor sum
-            g = _geometric_run_factor(bb)
+            g = run_factor_interval(bb)
             lhs = Interval.point(K_PREC5 / (k - HALF) ** 2)
             rhs = Fraction(18, 25) * (1 + g) * _plain_tail(6, terms, bb)
         else:  # k == 4
-            g = _geometric_run_factor(bb)
+            g = run_factor_interval(bb)
             lhs = k_prec4_interval(bb) * Fraction(4, 49)
-            rhs = (2 * _prec_weighted_tail(5, terms, bb)
+            rhs = (2 * weighted_tail(5, (3, 5), (5, 7), terms, bb)
                    + Fraction(18, 25) * g * _plain_tail(3, terms, bb))
         got = _decide(lhs, rhs)
         if got is not None:
             return MmeVerdict(name, got, lhs, rhs)
     return MmeVerdict(name, None, lhs, rhs, "undecided at escalation cap")
-
-
-def _prec_weighted_tail(m: int, terms: int, bits: int) -> Interval:
-    """sum_{l >= m} ((3l+5)/(5l+7))**2 (l + 1/2)**-2.
-
-    The weight decreases from its value at l = m toward (3/5)**2, so the
-    un-enumerated tail is bracketed by the two constant-weight bounds.
-    """
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for l in range(m, m + terms):
-        w = Fraction(3 * l + 5, 5 * l + 7) ** 2 / (l + HALF) ** 2
-        lo += w
-        hi += w
-    cut = m + terms
-    t = _plain_tail(cut, 0, bits)
-    w_hi = Fraction(3 * cut + 5, 5 * cut + 7) ** 2
-    w_lo = Fraction(9, 25)
-    return Interval(lo + w_lo * t.lo, hi + w_hi * t.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +185,7 @@ def direct_lambda_comparison(f_small, f_large, t_grid: Sequence[Fraction], *,
         if t <= theta_large:
             rows.append(ComparisonRow(t, "pass", "divergence"))
             continue
-        if small is large or (hasattr(small, "letters") and hasattr(large, "letters")
-                              and tuple(small.letters) == tuple(large.letters)):
+        if small == large:
             rows.append(ComparisonRow(t, "pass", "pressure"))
             continue
         row = None
@@ -232,13 +206,13 @@ def direct_lambda_comparison(f_small, f_large, t_grid: Sequence[Fraction], *,
 
 def _pressure_comparison(small, large, t, depth, bits, word_budget) -> ComparisonRow:
     best_hi = None
-    for n in _ladder(small, depth, word_budget):
+    for n in small.ladder(depth, word_budget):
         pb = pressure_bounds(small, t, n, bits=bits)
         if is_divergent(pb):
             return ComparisonRow(t, "indeterminate", "pressure")
         best_hi = pb.hi if best_hi is None else min(best_hi, pb.hi)
     best_lo = None
-    for n in _ladder(large, depth, word_budget):
+    for n in large.ladder(depth, word_budget):
         pb = pressure_bounds(large, t, n, bits=bits)
         if is_divergent(pb):
             return ComparisonRow(t, "pass", "divergence")
@@ -304,7 +278,7 @@ def phi_f_ordering(budget: int) -> List[int]:
 
 def construct(target, system: str, budget: int, depth: int, *,
               achieved_tol=Fraction(1, 100), bits: int = 64,
-              word_budget: int = 150_000, threads: int = 1) -> SpectrumTrace:
+              word_budget: int = 150_000) -> SpectrumTrace:
     """Greedy sweep over the ordering, keeping a letter only when the
     tentative set's dimension is certified <= target.
 
@@ -323,30 +297,31 @@ def construct(target, system: str, budget: int, depth: int, *,
     if system not in ("phi_f", "phi_v"):
         raise ValueError("system must be phi_f or phi_v")
 
-    kw = dict(bits=bits, word_budget=word_budget, threads=threads)
+    kw = dict(bits=bits, word_budget=word_budget)
     if system == "phi_f":
         ordering: Sequence = phi_f_ordering(budget)
+
+        def make(letters):
+            return DigitIfs(AlphabetSelection.explicit(letters))
     else:
         ordering = vertex_alphabet(budget)
+
+        def make(letters):
+            return LoopIfs(tuple(letters))
 
     accepted: List = []
     decisions: List[Decision] = []
     for letter in ordering:
         tentative = accepted + [letter]
-        if system == "phi_f":
-            cand = DigitIfs(AlphabetSelection.explicit(tentative))
-        else:
-            cand = LoopIfs(tuple(tentative))
-        ok = certify_nonpos(cand, target, depth, **kw)
+        ok = certify_nonpos(make(tentative), target, depth, **kw)
         if ok:
             accepted = tentative
         decisions.append(Decision(str(letter), ok, Fraction(0), target))
 
-    if system == "phi_f":
-        final = DigitIfs(AlphabetSelection.explicit(accepted))
-    else:
-        final = LoopIfs(tuple(accepted))
-    achieved = dim_interval(final, depth, achieved_tol, **kw)
+    achieved = dim_interval(make(accepted), depth, achieved_tol, **kw)
+    # the final set is the last accepted tentative set, whose P(target) <= 0
+    # certificate already bounds its dimension by the target
+    achieved = replace(achieved, hi=min(achieved.hi, target))
     return SpectrumTrace(
         target=target,
         system=system,

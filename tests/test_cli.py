@@ -149,6 +149,23 @@ def test_threads_flag_identical_output(capsys):
     assert rc1 == rc4 and out1 == out4
 
 
+def test_dim_overflow_exits_numeric_range(capsys):
+    # depth-16 word denominators of digits +-10**12 exceed the double range
+    big = 10 ** 12
+    rc, out, err = run(capsys, "dim", f"--alphabet=-{big},{big}", "--depth", "16")
+    assert rc == 4 and out == "" and err.startswith("error:")
+
+
+def test_pressure_underflow_exits_numeric_range(capsys):
+    # Z_1 of digits +-10**150 underflows: to 0 in the float lane (t = 2.9)
+    # and below the smallest double in the exact lane (t = 3)
+    huge = 10 ** 150
+    for grid in ("2.9:2.9:1", "3:3:1"):
+        rc, _, err = run(capsys, "pressure", f"--alphabet=-{huge},{huge}",
+                         "--t-grid", grid, "--depth", "1")
+        assert rc == 4 and err.startswith("error:")
+
+
 def test_pressure_csv_bounds_are_outward(tmp_path, capsys):
     from nicfdim.pressure_dim import DigitIfs, pressure_bounds
     from nicfdim.symbolic import AlphabetSelection

@@ -351,8 +351,8 @@ def test_float_lane_contains_exact_lane():
     mats = [_letter_matrix((b,)) for b in letters]
     for t in (F(1, 4), F(1, 2), F(3, 4), F(7, 8)):
         for n in (2, 4, 6):
-            ze = _z_exact(mats, n, t, 96, 1)
-            zf = _z_float(mats, n, t, 1)
+            ze = _z_exact(mats, n, t, 96)
+            zf = _z_float(mats, n, t)
             assert zf.lo <= ze.lo <= ze.hi <= zf.hi
             assert zf.width <= ze.hi * F(1, 10 ** 9)  # still extremely tight
 

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from nicfdim.nicf_system import LoopLetter
-from nicfdim.pressure_dim import DigitIfs
+from nicfdim.pressure_dim import DigitIfs, LoopIfs, vertex_system
 from nicfdim.spectrum import (
     DIRECT_COMPARISON,
     construct,
@@ -66,6 +66,18 @@ def test_direct_comparison_reflexive():
     assert rows[0].verdict == "pass"
 
 
+def test_direct_comparison_equal_letters_are_not_equal_systems():
+    # each left side has the right side's letters plus a tail of further
+    # letters, so its lambda is strictly larger: no row may pass
+    vertex = vertex_system(1, 4)
+    pairs = ((DigitIfs(AlphabetSelection.cofinite(3, 3)),
+              DigitIfs(AlphabetSelection.explicit([-3, 3]))),
+             (vertex, LoopIfs(vertex.letters)))
+    for small, large in pairs:
+        rows = direct_lambda_comparison(small, large, [F(3, 4), F(1)], depth=4)
+        assert [r.verdict for r in rows] == ["indeterminate", "indeterminate"]
+
+
 def test_phi_f_ordering():
     assert phi_f_ordering(6) == [-3, 3, -4, 4, -5, 5]
 
@@ -91,6 +103,15 @@ def test_construct_intermediate_target():
     assert trace.achieved.lo > F(1, 10)
     # monotone: the accepted set's upper certificate never exceeds target
     assert trace.final_letters  # nonempty
+
+
+def test_construct_achieved_never_above_target():
+    # the accepted set's P(target) <= 0 certificate bounds its dimension,
+    # so the achieved interval ends at the target at the latest
+    target = F("0.201")
+    tr = construct(target, "phi_f", budget=20, depth=8)
+    assert tr.final_letters == ("-3", "-12")
+    assert tr.achieved.lo <= target and tr.achieved.hi == target
 
 
 def test_construct_phi_v():
