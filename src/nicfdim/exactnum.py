@@ -243,6 +243,8 @@ def interval_pow(x: Union[Interval, RationalLike], t: RationalLike,
     t = _frac(t)
     if x.lo <= 0:
         raise ValueError("interval_pow needs a strictly positive base")
+    if x.is_point():
+        return pow_enclosure(x.lo, t, bits)
     if t >= 0:
         return Interval(pow_enclosure(x.lo, t, bits).lo,
                         pow_enclosure(x.hi, t, bits).hi)

@@ -13,10 +13,13 @@ pressure never need a limit:
     Z_n >= K**t   certifies  P_F(t) >= 0.
 
 Dimension intervals come from bisection on t using only such
-certificates; no uncertified digit is ever emitted.  Partition sums run
-either in the exact rational lane (small word counts, small exponent
-denominators) or in the guarded float lane; both are deterministic,
-since per-letter partial sums are combined in a fixed order.
+certificates; no uncertified digit is ever emitted.  Word-tree partition
+sums take the exact rational lane only at integer t with small word
+counts (integer powers of rationals need no roots); every other sum runs
+in the guarded float lane.  Each (letters, depth) tree is walked once and
+its float bases 4/d**2 are kept in an 8-tree LRU cache, so the probes of a
+bisection only re-raise cached bases to a new t.  Both lanes are
+deterministic, since per-letter partial sums are combined in a fixed order.
 
 Every system (``DigitIfs``, ``LoopIfs``, ``SimilarityIfs``) offers the
 same members: ``letter_count``, ``infinite_alphabet``, ``theta``,
@@ -28,7 +31,9 @@ instead of asking which kind of system they hold.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -123,8 +128,7 @@ class _WordTreeIfs:
         if t == 0:  # a tail diverges at t = 0, so the alphabet is finite here
             return Interval.point(Fraction(len(mats)) ** n)
 
-        exact = (t.denominator <= _EXACT_DEN_CAP
-                 and len(mats) ** n <= _EXACT_WORD_CAP)
+        exact = t.denominator == 1 and len(mats) ** n <= _EXACT_WORD_CAP
         core = _z_exact(mats, n, t, bits) if exact else _z_float(mats, n, t)
 
         if tail is None:
@@ -164,7 +168,7 @@ class DigitIfs(_WordTreeIfs):
         return distortion_from_ratio(beta)
 
     def _mats(self):
-        return [_letter_matrix((b,)) for b in self.letters]
+        return tuple(_letter_matrix((b,)) for b in self.letters)
 
     def _tail_mass(self, t: Fraction, bits: int):
         """Mass of the cofinite tail letters, both signs:
@@ -197,7 +201,7 @@ class LoopIfs(_WordTreeIfs):
         return Interval.point(K_GLOBAL)
 
     def _mats(self):
-        return [_letter_matrix(l.word_digits) for l in self.letters]
+        return tuple(_letter_matrix(l.word_digits) for l in self.letters)
 
     def _tail_mass(self, t: Fraction, bits: int):
         if not self.with_tail:
@@ -312,7 +316,7 @@ def pow_iv(x: Union[Interval, Fraction], t: Fraction, bits: int = 64,
 # ---------------------------------------------------------------------------
 
 _EXACT_WORD_CAP = 20_000
-_EXACT_DEN_CAP = 8
+_WORD_CACHE_SIZE = 8  # word trees whose float bases stay cached
 
 
 def _letter_matrix(digits: Sequence[int]) -> Tuple[int, int, int, int]:
@@ -360,35 +364,53 @@ def _z_exact(mats, n: int, t: Fraction, bits: int) -> Interval:
 # Accumulation error is counted as count * 2**-51 (naive positive
 # summation is within (count-1) * 2**-53 relative) and an inexact float
 # exponent contributes |t - tf| * |log base| <= t 2**-53 * 2 log(dmax),
-# tracked via the largest denominator seen.
+# tracked via the largest denominator seen.  The bases are computed once
+# per tree (``_word_bases``), with the same two roundings (integer to
+# float, then the division), and summed in the same order, so this error
+# model stands as derived.
 _TERM_SLACK = 2.0 ** -44
 
 
-def _z_float(mats, n: int, t: Fraction) -> Interval:
-    tf = float(t)
-    t_exact = Fraction(tf) == t
-    partial = []  # one naive sum per first letter, in letter order
-    count = 0
+@lru_cache(maxsize=_WORD_CACHE_SIZE)
+def _word_bases(mats: Tuple[Tuple[int, int, int, int], ...], n: int):
+    """Float bases 4.0 / d**2 of the depth-n words, one array per first
+    letter in walk order, and the largest denominator d (at least 2).
+    The arrays are shared by every caller through the cache: read only."""
+    per_letter = []
     dmax = 2
     try:
         for m0 in mats:
-            acc = 0.0
+            bases = array("d")
             stack = [(1, m0[0], m0[2])]
             while stack:
                 depth, q, qp = stack.pop()
                 if depth == n:
                     d = 2 * abs(q) - abs(qp)
-                    acc += (4.0 / float(d * d)) ** tf
-                    count += 1
+                    bases.append(4.0 / float(d * d))
                     if d > dmax:
                         dmax = d
                     continue
                 for a, b, c, dd in mats:
                     stack.append((depth + 1, a * q + b * qp, c * q + dd * qp))
-            partial.append(acc)
+            per_letter.append(bases)
     except OverflowError:
         raise NumericRangeError(
             f"a depth-{n} word denominator exceeds the float range") from None
+    return tuple(per_letter), dmax
+
+
+def _z_float(mats, n: int, t: Fraction) -> Interval:
+    tf = float(t)
+    t_exact = Fraction(tf) == t
+    per_letter, dmax = _word_bases(tuple(mats), n)
+    partial = []  # one naive sum per first letter, in letter order
+    count = 0
+    for bases in per_letter:
+        acc = 0.0
+        for x in bases:
+            acc += x ** tf
+        partial.append(acc)
+        count += len(bases)
     raw = math.fsum(partial)  # exact rounding of the per-letter sums
     slack = _TERM_SLACK + count * 2.0 ** -51
     if not t_exact:
@@ -512,11 +534,14 @@ def certify_nonneg(system, t: Fraction, max_depth: int, *, bits: int = 64,
     t = Fraction(t)
     if t == 0:
         return True  # P(0) = log(letter count) >= 0 for nonempty alphabets
+    k_t = None  # K**t, computed once at the first depth that needs it
     for n in system.ladder(max_depth, word_budget):
         z = partition_sum(system, t, n, bits=bits)
         if is_divergent(z):
             return True
-        if z.lo >= _k_pow_hi(system, t, bits):
+        if k_t is None:
+            k_t = _k_pow_hi(system, t, bits)
+        if z.lo >= k_t:
             return True
     return False
 

@@ -162,6 +162,26 @@ def test_interval_pow_monotone_cases():
     assert float(dn.lo) <= 0.5 ** -0.75 <= float(dn.hi)
 
 
+def test_interval_pow_point_calls_pow_enclosure_once(monkeypatch):
+    import nicfdim.exactnum as ex
+    calls = []
+    original = ex.pow_enclosure
+
+    def counting(base, t, bits=64):
+        calls.append((base, t))
+        return original(base, t, bits)
+
+    monkeypatch.setattr(ex, "pow_enclosure", counting)
+    for x, t in ((F(3, 7), F(2, 5)), (F(22, 7), F(-1, 3)), (F(1, 2), F(3))):
+        calls.clear()
+        iv = interval_pow(x, t, 96)
+        assert len(calls) == 1
+        assert iv == original(x, t, 96)
+    calls.clear()
+    interval_pow(Interval(F(1, 3), F(1, 2)), F(1, 3), 96)
+    assert len(calls) == 2  # a proper interval still needs both ends
+
+
 def test_tail_known_rational_case():
     # sum_{l >= j+1} (l + 1/2)**-2 >= 1/(j + 3/2), exactly
     for j in (1, 3, 10, 50):

@@ -4,9 +4,11 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nicfdim import pressure_dim
 from nicfdim.cf_core import Word
-from nicfdim.exactnum import exp_interval
+from nicfdim.exactnum import NumericRangeError, exp_interval
 from nicfdim.nicf_system import LoopLetter, norm_bounds, letter_constants
 from nicfdim.pressure_dim import (
     DigitIfs,
@@ -355,6 +357,82 @@ def test_float_lane_contains_exact_lane():
             zf = _z_float(mats, n, t)
             assert zf.lo <= ze.lo <= ze.hi <= zf.hi
             assert zf.width <= ze.hi * F(1, 10 ** 9)  # still extremely tight
+
+
+_DYADIC_T = [F(k, 16) for k in range(1, 32)]  # every k/8 in (0, 2) as well
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(letters=st.lists(st.integers(3, 12).flatmap(
+           lambda m: st.sampled_from((-m, m))), min_size=1, max_size=4),
+       n=st.integers(1, 5),
+       t=st.sampled_from(_DYADIC_T))
+def test_float_lane_contains_exact_lane_at_dyadic_t(letters, n, t):
+    # the dyadic bisection midpoints run in the float lane
+    from nicfdim.pressure_dim import _letter_matrix, _z_exact, _z_float
+    mats = [_letter_matrix((b,)) for b in letters]
+    ze = _z_exact(mats, n, t, 96)
+    zf = _z_float(mats, n, t)
+    assert zf.lo <= ze.lo <= ze.hi <= zf.hi
+
+
+def test_word_bases_cache_matches_cold_call():
+    from nicfdim.pressure_dim import _letter_matrix, _word_bases, _z_float
+    mats = tuple(_letter_matrix((b,)) for b in (-4, 3, 7))
+    warm = [_z_float(mats, 5, t) for t in (F(1, 3), F(3, 8), F(5, 7))]
+    cached = [_z_float(mats, 5, t) for t in (F(1, 3), F(3, 8), F(5, 7))]
+    _word_bases.cache_clear()
+    cold = [_z_float(mats, 5, t) for t in (F(1, 3), F(3, 8), F(5, 7))]
+    assert warm == cached == cold
+
+
+def test_word_bases_cache_stays_bounded():
+    from nicfdim.pressure_dim import _word_bases
+    _word_bases.cache_clear()
+    dim_interval(PM3, 10, F(1, 50))
+    dim_interval(AlphabetSelection.explicit([-5, 3, 7]), 6, F(1, 50))
+    info = _word_bases.cache_info()
+    assert info.misses > info.maxsize  # nine trees through an 8-tree cache
+    assert info.currsize <= info.maxsize
+
+
+def test_dim_walks_each_word_tree_once(monkeypatch):
+    from nicfdim.pressure_dim import _word_bases
+    depths = []
+    original = pressure_dim._z_float
+
+    def recording(mats, n, t):
+        depths.append(n)
+        return original(mats, n, t)
+
+    monkeypatch.setattr(pressure_dim, "_z_float", recording)
+    _word_bases.cache_clear()
+    dim_interval(PM3, 10, F(1, 50))
+    info = _word_bases.cache_info()
+    assert len(depths) > len(set(depths))  # trees are probed more than once
+    assert info.misses == len(set(depths))
+
+
+def test_word_bases_overflow_is_not_cached():
+    # the alphabet of test_dim_overflow_exits_numeric_range
+    big = 10 ** 12
+    sel = AlphabetSelection.explicit([-big, big])
+    for _ in range(2):
+        with pytest.raises(NumericRangeError):
+            partition_sum(sel, F(1, 2), 16)
+
+
+def test_dim_intervals_pinned():
+    # endpoints of the exact-lane-at-dyadic-t implementation; moving the
+    # dyadic midpoints to the float lane must not change a single one
+    cases = (
+        (PM3, 10, F(5, 16), F(21, 64)),
+        (AlphabetSelection.explicit([-5, 3, 7]), 6, F(45, 128), F(3, 8)),
+        (AlphabetSelection.cofinite(3, 5), 4, F(105, 128), F(127, 128)),
+    )
+    for sel, depth, lo, hi in cases:
+        di = dim_interval(sel, depth, F(1, 50))
+        assert (di.lo, di.hi) == (lo, hi)
 
 
 def test_classify_vertex_system():
