@@ -5,13 +5,13 @@ intervals with ``fractions.Fraction`` endpoints.  Interval operations are
 outward: the result interval always contains the exact mathematical
 result.  Two lanes are provided:
 
-* the exact lane (surds, rational powers, integral-test tails) performs
-  no floating-point arithmetic at all and is the only lane the
-  inequality ledger is allowed to use;
+* the exact lane (surds, rational powers, integral-test tails at integer
+  exponents) performs no floating-point arithmetic at all and is the
+  only lane the inequality ledger is allowed to use;
 * a guarded floating-point lane (``log_interval``, ``exp_interval`` and
   the ``f*`` helpers) wraps libm calls with directed ulp padding and is
-  used on the pressure path, where depth-16 partition sums make exact
-  rationals too slow.  Padding is 1 ulp for correctly-rounded IEEE
+  used on the pressure path, where x**t is exact only at integer t (no
+  roots; ``pow_iv``).  Padding is 1 ulp for correctly-rounded IEEE
   operations and 8 ulps for transcendental calls, folded outward.
 """
 
@@ -252,20 +252,34 @@ def interval_pow(x: Union[Interval, RationalLike], t: RationalLike,
                     pow_enclosure(x.lo, t, bits).hi)
 
 
+def pow_iv(x: Union[Interval, RationalLike], t: RationalLike) -> Interval:
+    """Enclosure of x**t for positive x: exact at integer t, where no root
+    (and so no precision) is needed, guarded float lane otherwise."""
+    t = _frac(t)
+    if t.denominator == 1:
+        return interval_pow(x, t)
+    x = _as_interval(x)
+    if x.lo <= 0:
+        raise ValueError("pow_iv needs a strictly positive base")
+    lo, hi = fpow_bounds(float_down(x.lo), float_up(x.hi),
+                         float_down(t), float_up(t))
+    return Interval(max(Fraction(lo), Fraction(0)), Fraction(hi))
+
+
 # ---------------------------------------------------------------------------
 # integral-test tail enclosures
 # ---------------------------------------------------------------------------
 
 def tail_sum_enclosure(k: int, c: Union[Interval, RationalLike],
-                       s: RationalLike, terms: int = 0,
-                       bits: int = 96) -> Interval:
+                       s: RationalLike, terms: int = 0) -> Interval:
     """Enclosure of sum_{j>=k} (j + c)**(-2s) by the integral test.
 
     Requires k >= 1, c >= 0 and 2s > 1; raises DivergentTailError when
     2s <= 1.  With ``terms`` = N the first N summands are added exactly
     (as enclosures) and the integral test is applied at k + N, which
     tightens both endpoints; the integral lower bound at any split point
-    stays inside the returned interval.
+    stays inside the returned interval.  Powers go through ``pow_iv``, so
+    the tail is exact at integer 2s and in the guarded float lane otherwise.
     """
     c = _as_interval(c)
     s = _frac(s)
@@ -279,13 +293,13 @@ def tail_sum_enclosure(k: int, c: Union[Interval, RationalLike],
     lo = Fraction(0)
     hi = Fraction(0)
     for j in range(k, k + terms):
-        f = interval_pow(c + j, -two_s, bits)
+        f = pow_iv(c + j, -two_s)
         lo += f.lo
         hi += f.hi
     m = k + terms
     # integral of (x+c)**(-2s) over [m, inf) = (m+c)**(1-2s) / (2s-1)
-    integral = interval_pow(c + m, 1 - two_s, bits) / (two_s - 1)
-    first = interval_pow(c + m, -two_s, bits)
+    integral = pow_iv(c + m, 1 - two_s) / (two_s - 1)
+    first = pow_iv(c + m, -two_s)
     return Interval(lo + integral.lo, hi + first.hi + integral.hi)
 
 

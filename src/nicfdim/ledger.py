@@ -106,7 +106,7 @@ def _case_lemma_2_6(k_max: int = 200) -> LedgerResult:
         v_full, lhs, rhs = _decide(
             lambda terms, bits: Fraction(9, 4) * ((k - alpha_interval(bits)) ** 2).reciprocal(),
             lambda terms, bits: Fraction(8, 9) * tail_sum_enclosure(
-                k + 1, alpha_interval(bits), 1, terms=terms, bits=bits),
+                k + 1, alpha_interval(bits), 1, terms=terms),
         )
         v_red, lhs_r, rhs_r = _decide(
             lambda terms, bits: Fraction(9, 4) * ((k - alpha_interval(bits)) ** 2).reciprocal(),
@@ -239,7 +239,7 @@ def _case_pm5(k_max: int = 200) -> LedgerResult:
 
 
 def weighted_tail(m: int, num: Tuple[int, int], den: Tuple[int, int],
-                  terms: int, bits: int) -> Interval:
+                  terms: int) -> Interval:
     """sum_{l >= m} ((num0*l + num1)/(den0*l + den1))**2 (l + 1/2)**-2 with a
     weight decreasing toward (num0/den0)**2."""
     lo = Fraction(0)
@@ -249,7 +249,7 @@ def weighted_tail(m: int, num: Tuple[int, int], den: Tuple[int, int],
         lo += w
         hi += w
     cut = m + terms
-    t = tail_sum_enclosure(cut, HALF, 1, terms=0, bits=bits)
+    t = tail_sum_enclosure(cut, HALF, 1, terms=0)
     w_hi = Fraction(num[0] * cut + num[1], den[0] * cut + den[1]) ** 2
     w_lo = Fraction(num[0], den[0]) ** 2
     return Interval(lo + w_lo * t.lo, hi + w_hi * t.hi)
@@ -259,9 +259,9 @@ def _case_pm4() -> LedgerResult:
     def rhs(weights):
         def make(terms, bits):
             terms = max(terms, 64)
-            a_sum = weighted_tail(5, weights[0], weights[1], terms, bits)
+            a_sum = weighted_tail(5, weights[0], weights[1], terms)
             b_sum = Fraction(18, 25) * run_factor_interval(bits) * tail_sum_enclosure(
-                3, HALF, 1, terms=terms, bits=bits)
+                3, HALF, 1, terms=terms)
             return 2 * a_sum + b_sum
         return make
 

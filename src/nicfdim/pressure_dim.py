@@ -13,18 +13,18 @@ pressure never need a limit:
     Z_n >= K**t   certifies  P_F(t) >= 0.
 
 Dimension intervals come from bisection on t using only such
-certificates; no uncertified digit is ever emitted.  Word-tree partition
-sums take the exact rational lane only at integer t with small word
-counts (integer powers of rationals need no roots); every other sum runs
-in the guarded float lane.  Each (letters, depth) tree is walked once and
-its float bases 4/d**2 are kept in an 8-tree LRU cache, so the probes of a
-bisection only re-raise cached bases to a new t.  Both lanes are
-deterministic, since per-letter partial sums are combined in a fixed order.
+certificates; no uncertified digit is ever emitted.  Every x**t here is
+exact only at integer t, where no root is needed (``exactnum.pow_iv``;
+word trees also need <= 20,000 words), and in the guarded float lane
+otherwise; only the worked similarity examples keep exact roots (up to
+the 64th).  Each (letters, depth) tree is walked once into float bases
+4/d**2 kept in an 8-tree LRU cache, so bisection probes only re-raise
+them to a new t.  Sums are deterministic: letter parts add in fixed order.
 
 Every system (``DigitIfs``, ``LoopIfs``, ``SimilarityIfs``) offers the
 same members: ``letter_count``, ``infinite_alphabet``, ``theta``,
 ``k_interval(bits)``, ``ladder(max_depth, word_budget)`` and
-``partition_sum_body(t, n, bits)``; the functions below call those
+``partition_sum_body(t, n)``; the functions below call those
 instead of asking which kind of system they hold.
 """
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -41,14 +41,13 @@ from .exactnum import (
     DivergentTailError,
     Interval,
     NumericRangeError,
-    float_down,
     float_up,
-    fpow_bounds,
     interval_pow,
     log_interval,
     next_down,
     next_up,
     pow_enclosure,
+    pow_iv,
     tail_sum_enclosure,
 )
 from .nicf_system import (
@@ -92,7 +91,7 @@ class _WordTreeIfs:
 
     Subclasses supply ``letters``, ``infinite_alphabet``, ``k_interval``,
     the letter matrices ``_mats()`` and the letter tail mass
-    ``_tail_mass(t, bits)`` (None for a finite alphabet, else an upper
+    ``_tail_mass(t)`` (None for a finite alphabet, else an upper
     enclosure or DIVERGENT); the word-tree sum is shared.
     """
 
@@ -119,25 +118,21 @@ class _WordTreeIfs:
         ns.append(cap)
         return ns
 
-    def partition_sum_body(self, t: Fraction, n: int, bits: int):
+    def partition_sum_body(self, t: Fraction, n: int):
         """Z_n(t) for t >= 0, n >= 1 (see ``partition_sum``)."""
         mats = self._mats()
-        tail = self._tail_mass(t, bits)
+        tail = self._tail_mass(t)
         if is_divergent(tail):
             return DIVERGENT
         if t == 0:  # a tail diverges at t = 0, so the alphabet is finite here
             return Interval.point(Fraction(len(mats)) ** n)
 
-        exact = t.denominator == 1 and len(mats) ** n <= _EXACT_WORD_CAP
-        core = _z_exact(mats, n, t, bits) if exact else _z_float(mats, n, t)
-
+        core = _z_core(mats, n, t)
         if tail is None:
             return core
         if n == 1:
             return Interval(core.lo + tail.lo, core.hi + tail.hi)
-        sigma_t = Interval.point(0)
-        for m in mats:
-            sigma_t = sigma_t + pow_iv(_sup_from_state(m[0], m[2]), t, bits)
+        sigma_t = _z_core(mats, 1, t)
         correction = ((sigma_t + tail) ** n).hi - (sigma_t ** n).lo
         return Interval(core.lo, core.hi + max(correction, 0))
 
@@ -170,7 +165,7 @@ class DigitIfs(_WordTreeIfs):
     def _mats(self):
         return tuple(_letter_matrix((b,)) for b in self.letters)
 
-    def _tail_mass(self, t: Fraction, bits: int):
+    def _tail_mass(self, t: Fraction):
         """Mass of the cofinite tail letters, both signs:
         2 * sum_{k > trunc} (k - 1/2)**(-2t)."""
         if not self.infinite_alphabet:
@@ -178,8 +173,7 @@ class DigitIfs(_WordTreeIfs):
         if 2 * t <= 1:
             return DIVERGENT
         # (k - 1/2) for k >= trunc+1 equals (j + 1/2) for j >= trunc
-        return 2 * tail_sum_enclosure(self.selection.trunc, HALF, t, terms=2,
-                                      bits=bits)
+        return 2 * tail_sum_enclosure(self.selection.trunc, HALF, t, terms=2)
 
 
 @dataclass(frozen=True)
@@ -203,10 +197,10 @@ class LoopIfs(_WordTreeIfs):
     def _mats(self):
         return tuple(_letter_matrix(l.word_digits) for l in self.letters)
 
-    def _tail_mass(self, t: Fraction, bits: int):
+    def _tail_mass(self, t: Fraction):
         if not self.with_tail:
             return None
-        return vertex_tail_bound(t, self.j_max, self.k_max, bits)
+        return vertex_tail_bound(t, self.j_max, self.k_max)
 
 
 def vertex_system(j_max: int, k_max: int) -> LoopIfs:
@@ -258,20 +252,19 @@ class SimilarityIfs:
     def ladder(self, max_depth: int, word_budget: int) -> List[int]:
         return [1]  # Z_n = Z_1**n, deeper adds nothing
 
-    def partition_sum_body(self, t: Fraction, n: int, bits: int,
-                           den_cap: int = 8):
+    def partition_sum_body(self, t: Fraction, n: int):
         if t == 0:
             if self.families:
                 return DIVERGENT
             return Interval.point(Fraction(len(self.ratios)) ** n)
         z1 = Interval.point(0)
         for r in self.ratios:
-            z1 = z1 + pow_iv(r, t, bits, den_cap)
+            z1 = z1 + pow_iv(r, t)
         for base, r in self.families:
-            rt = pow_iv(r, t, bits, den_cap)
+            rt = pow_iv(r, t)
             if rt.hi >= 1:
                 return DIVERGENT
-            z1 = z1 + pow_iv(base, t, bits, den_cap) / (1 - rt)
+            z1 = z1 + pow_iv(base, t) / (1 - rt)
         return z1 ** n
 
 
@@ -284,31 +277,6 @@ def as_system(x) -> System:
     if isinstance(x, AlphabetSelection):
         return DigitIfs(x)
     raise TypeError(f"not a pressure system: {type(x).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# power helpers
-# ---------------------------------------------------------------------------
-
-def _pow_iv_float(x: Union[Interval, Fraction], t: Fraction) -> Interval:
-    """x**t through the padded float lane, for positive x."""
-    if not isinstance(x, Interval):
-        x = Interval.point(x)
-    if x.lo <= 0:
-        raise ValueError("needs a positive base")
-    lo, hi = fpow_bounds(float_down(x.lo), float_up(x.hi),
-                         float_down(t), float_up(t))
-    return Interval(max(Fraction(lo), Fraction(0)), Fraction(hi))
-
-
-def pow_iv(x: Union[Interval, Fraction], t: Fraction, bits: int = 64,
-           den_cap: int = 8) -> Interval:
-    """x**t: exact lane for exponent denominators up to den_cap (integer
-    roots stay cheap there), guarded float lane otherwise."""
-    t = Fraction(t)
-    if t.denominator <= den_cap:
-        return interval_pow(x, t, bits)
-    return _pow_iv_float(x, t)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +304,14 @@ def _sup_from_state(q: int, qp: int) -> Fraction:
     return Fraction(4, d * d)
 
 
-def _z_exact(mats, n: int, t: Fraction, bits: int) -> Interval:
+def _z_core(mats, n: int, t: Fraction) -> Interval:
+    """The word-tree sum, exact only at integer t and in small trees."""
+    if t.denominator == 1 and len(mats) ** n <= _EXACT_WORD_CAP:
+        return _z_exact(mats, n, t)
+    return _z_float(mats, n, t)
+
+
+def _z_exact(mats, n: int, t: Fraction, bits: int = 64) -> Interval:
     # one sum per first letter: running rational sums grow their
     # denominators with every term, so shorter runs are cheaper
     los, his = [], []
@@ -423,7 +398,7 @@ def _z_float(mats, n: int, t: Fraction) -> Interval:
     return Interval(max(Fraction(lo), Fraction(0)), Fraction(hi))
 
 
-def vertex_tail_bound(t: Fraction, j_max: int, k_max: int, bits: int = 96):
+def vertex_tail_bound(t: Fraction, j_max: int, k_max: int):
     """Upper enclosure of the loop-letter mass outside j <= j_max, k <= k_max,
 
         sum over {j > j_max, k >= 3} + {j <= j_max, k > k_max}
@@ -434,9 +409,9 @@ def vertex_tail_bound(t: Fraction, j_max: int, k_max: int, bits: int = 96):
     t = Fraction(t)
     if 2 * t <= 1:
         return DIVERGENT
-    s_all = tail_sum_enclosure(2, HALF, t, terms=2, bits=bits)      # k >= 3
-    s_tail = tail_sum_enclosure(k_max, HALF, t, terms=1, bits=bits)  # k > k_max
-    x = pow_iv(Fraction(1, 4), t, bits)                              # 4**-t < 1
+    s_all = tail_sum_enclosure(2, HALF, t, terms=2)       # k >= 3
+    s_tail = tail_sum_enclosure(k_max, HALF, t, terms=1)  # k > k_max
+    x = pow_iv(Fraction(1, 4), t)                         # 4**-t < 1
     geo_gt = x ** (j_max + 1) / (1 - x)
     geo_le = Interval.point(0)
     acc = Interval.point(1)
@@ -447,8 +422,7 @@ def vertex_tail_bound(t: Fraction, j_max: int, k_max: int, bits: int = 96):
     return Interval(Fraction(0), upper)
 
 
-def partition_sum(system, t: Fraction, n: int, *, bits: int = 64,
-                  threads: int = 1):
+def partition_sum(system, t: Fraction, n: int, *, threads: int = 1):
     """Enclosure of Z_n(t) for the system, or DIVERGENT.
 
     Cofinite digit systems and the tailed vertex system add their letter
@@ -464,7 +438,7 @@ def partition_sum(system, t: Fraction, n: int, *, bits: int = 64,
         raise ValueError("needs t >= 0")
     if n < 1:
         raise ValueError("needs depth n >= 1")
-    return system.partition_sum_body(t, n, bits)
+    return system.partition_sum_body(t, n)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +461,7 @@ def pressure_bounds(system, t: Fraction, n: int, *, bits: int = 64):
     """Two-sided pressure enclosure at depth n, or DIVERGENT."""
     system = as_system(system)
     t = Fraction(t)
-    z = partition_sum(system, t, n, bits=bits)
+    z = partition_sum(system, t, n)
     if is_divergent(z):
         return DIVERGENT
     if z.lo <= 0:
@@ -509,16 +483,16 @@ def pressure_bounds(system, t: Fraction, n: int, *, bits: int = 64):
 def _k_pow_hi(system: System, t: Fraction, bits: int) -> Fraction:
     """Upper bound of K**t."""
     k = system.k_interval(bits)
-    return Fraction(1) if k.hi == 1 else pow_iv(k.hi, t, bits).hi
+    return Fraction(1) if k.hi == 1 else pow_iv(k.hi, t).hi
 
 
-def certify_nonpos(system, t: Fraction, max_depth: int, *, bits: int = 64,
+def certify_nonpos(system, t: Fraction, max_depth: int, *,
                    word_budget: int = 300_000) -> bool:
     """True iff some depth n <= max_depth certifies P(t) <= 0 via Z_n <= 1."""
     system = as_system(system)
     t = Fraction(t)
     for n in system.ladder(max_depth, word_budget):
-        z = partition_sum(system, t, n, bits=bits)
+        z = partition_sum(system, t, n)
         if is_divergent(z):
             return False
         if z.hi <= 1:
@@ -536,7 +510,7 @@ def certify_nonneg(system, t: Fraction, max_depth: int, *, bits: int = 64,
         return True  # P(0) = log(letter count) >= 0 for nonempty alphabets
     k_t = None  # K**t, computed once at the first depth that needs it
     for n in system.ladder(max_depth, word_budget):
-        z = partition_sum(system, t, n, bits=bits)
+        z = partition_sum(system, t, n)
         if is_divergent(z):
             return True
         if k_t is None:
@@ -583,12 +557,14 @@ def dim_interval(system, max_depth: int, tol, *, bits: int = 64,
     """
     system = as_system(system)
     tol = Fraction(tol)
-    kw = dict(bits=bits, word_budget=word_budget)
-
+    nonneg = partial(certify_nonneg, system, max_depth=max_depth, bits=bits,
+                     word_budget=word_budget)
+    nonpos = partial(certify_nonpos, system, max_depth=max_depth,
+                     word_budget=word_budget)
     a = Fraction(0)
     b = None
     for cand in _UPPER_STARTS:
-        if certify_nonpos(system, cand, max_depth, **kw):
+        if nonpos(cand):
             b = cand
             break
     if b is None:
@@ -599,27 +575,25 @@ def dim_interval(system, max_depth: int, tol, *, bits: int = 64,
     while b - a > tol and iterations < 80:
         iterations += 1
         m = (a + b) / 2
-        if certify_nonneg(system, m, max_depth, **kw):
+        if nonneg(m):
             a = m
-        elif certify_nonpos(system, m, max_depth, **kw):
+        elif nonpos(m):
             b = m
         else:
-            a = _refine_flank(system, a, m, max_depth, tol, True, kw)
-            b = _refine_flank(system, m, b, max_depth, tol, False, kw)
+            a = _refine_flank(a, m, tol, nonneg)
+            b = _refine_flank(b, m, tol, nonpos)
             break
     return DimensionInterval(a, b, max_depth, tol)
 
 
-def _refine_flank(system, lo, hi, max_depth, tol, nonneg_side, kw) -> Fraction:
-    """Push a certified endpoint toward an indeterminate midpoint."""
-    good, bad = (lo, hi) if nonneg_side else (hi, lo)
+def _refine_flank(good, bad, tol, certify) -> Fraction:
+    """Push the endpoint ``good``, which ``certify`` holds at, toward the
+    indeterminate midpoint ``bad``."""
     steps = 0
     while abs(bad - good) > tol / 2 and steps < 24:
         steps += 1
         m = (good + bad) / 2
-        ok = (certify_nonneg(system, m, max_depth, **kw) if nonneg_side
-              else certify_nonpos(system, m, max_depth, **kw))
-        if ok:
+        if certify(m):
             good = m
         else:
             bad = m
@@ -646,7 +620,7 @@ def finiteness_exponent(system) -> FinitenessExponent:
              "converges_for": "every t > 0 (geometric families)"}
         return FinitenessExponent(Fraction(0), w)
     t_conv = system.theta + Fraction(1, 16)
-    z1 = partition_sum(system, t_conv, 1, bits=64)
+    z1 = partition_sum(system, t_conv, 1)
     w = {
         "diverges_at": "every t <= 1/2: the one-letter sum dominates a tail "
                        "of sum (k - 1/2)**(-2t) with 2t <= 1 (integral test)",
@@ -694,6 +668,18 @@ def classify_nature(system, depth: int = 6,
 # the worked similarity examples
 # ---------------------------------------------------------------------------
 
+# Closed forms are checked at 160 bits against 64-bit loop enumerations,
+# too fine for the float lane; exact roots at every t would make
+# ``appendix --t-grid 0.001:0.003:0.001`` a few hundred times slower.
+_APPENDIX_EXACT_ROOTS = 64
+
+
+def _appendix_pow(x: Fraction, t: Fraction, bits: int) -> Interval:
+    if t.denominator <= _APPENDIX_EXACT_ROOTS:
+        return interval_pow(x, t, bits)
+    return pow_iv(x, t)
+
+
 @dataclass(frozen=True)
 class LoopFamily:
     """Loops base * cycle**m, m >= 0; lengths base_len + m * cycle_len."""
@@ -727,22 +713,20 @@ class VertexLoopSpec:
         return (sum(1 for _, ln in self.singles if ln <= max_len)
                 + sum(f.count_up_to(max_len) for f in self.families))
 
-    def z1_closed(self, t: Fraction, bits: int = 64, den_cap: int = 64):
-        return self.similarity_ifs().partition_sum_body(Fraction(t), 1, bits, den_cap)
-
-    def z1_tail_beyond(self, max_len: int, t: Fraction, bits: int = 64,
-                       den_cap: int = 64) -> Interval:
+    def z1_tail_beyond(self, max_len: int, t: Fraction,
+                       bits: int = 64) -> Interval:
         """Mass of the loops of length > max_len."""
+        t = Fraction(t)
         acc = Interval.point(0)
         for r, ln in self.singles:
             if ln > max_len:
-                acc = acc + pow_iv(r, t, bits, den_cap)
+                acc = acc + _appendix_pow(r, t, bits)
         for f in self.families:
             m0 = f.count_up_to(max_len)  # first omitted member index
-            rt = pow_iv(f.cycle_ratio, t, bits, den_cap)
+            rt = _appendix_pow(f.cycle_ratio, t, bits)
             if rt.hi >= 1:
                 raise DivergentTailError("divergent loop tail")
-            acc = acc + pow_iv(f.base_ratio, t, bits, den_cap) * rt ** m0 / (1 - rt)
+            acc = acc + _appendix_pow(f.base_ratio, t, bits) * rt ** m0 / (1 - rt)
         return acc
 
 
@@ -757,18 +741,43 @@ class AppendixSystem:
         return self.loop_specs[vertex].similarity_ifs()
 
     def closed_pressure(self, vertex: str, t: Fraction, bits: int = 96) -> Interval:
-        """The exact closed form of P_{E_vertex}(t), as an enclosure."""
-        z1 = self.loop_specs[vertex].z1_closed(Fraction(t), bits)
-        if is_divergent(z1):
-            raise DivergentTailError("closed form diverges at this t")
-        return log_interval(z1)
+        """The exact closed form of P_{E_vertex}(t), as an enclosure: the
+        mass of all first-return loops, every one longer than 0."""
+        return log_interval(self.loop_specs[vertex].z1_tail_beyond(0, t, bits))
 
     def full_pressure_closed(self, t: Fraction, bits: int = 64) -> Interval:
-        """P(t) of the whole graph system; for the cycle it equals the
-        two-loop closed form log(s**t + r**t) at every t >= 0."""
-        if self.name == "cycle4":
-            return self.closed_pressure("w", t, bits)
-        raise NotImplementedError("closed full pressure derived for cycle4 only")
+        """P(t) = log rho(M(t)) of the whole graph system, where M(t)[u][v]
+        is the sum of r_e**t over the edges e from u to v.  For any
+        positive x the Collatz-Wielandt bracket
+
+            min_u (M_lo x)_u / x_u  <=  rho(M(t))  <=  max_u (M_hi x)_u / x_u
+
+        holds, with M_lo <= M(t) <= M_hi the entrywise enclosures; x is
+        the Perron vector as far as a float power iteration finds it."""
+        t = Fraction(t)
+        g = self.graph
+        index = {v: i for i, v in enumerate(g.vertices)}
+        size = len(index)
+        m = [[Interval.point(0)] * size for _ in range(size)]
+        for e in g.edges:
+            u, v = index[g.initial[e]], index[g.terminal[e]]
+            m[u][v] = m[u][v] + _appendix_pow(self.ratios[e], t, bits)
+        # iterate the scaled shift s I + M, which has M's Perron vector and
+        # converges for periodic graphs and at every t alike
+        mf = [[float(entry.lo) for entry in row] for row in m]
+        shift = max(max(row) for row in mf) or 1.0  # 0 if M(t) underflows
+        x = [1.0] * size
+        for _ in range(200):
+            y = [shift * x[u] + sum(mf[u][v] * x[v] for v in range(size))
+                 for u in range(size)]
+            top = max(y)
+            x = [yi / top for yi in y]
+        xs = [Fraction(xi) for xi in x]
+        lo = min(sum(m[u][v].lo * xs[v] for v in range(size)) / xs[u]
+                 for u in range(size))
+        hi = max(sum(m[u][v].hi * xs[v] for v in range(size)) / xs[u]
+                 for u in range(size))
+        return log_interval(Interval(lo, hi))
 
     def enumerated_pressure(self, vertex: str, t: Fraction, max_len: int,
                             bits: int = 64) -> Interval:
@@ -784,7 +793,7 @@ class AppendixSystem:
                 ratio = Fraction(1)
                 for e in wrd:
                     ratio *= self.ratios[e]
-                z1 = z1 + pow_iv(ratio, t, bits, 64)
+                z1 = z1 + _appendix_pow(ratio, t, bits)
                 n_enum += 1
         if n_enum != spec.count_up_to(max_len):
             raise AssertionError("loop enumeration disagrees with the family spec")

@@ -67,9 +67,9 @@ class MmeVerdict:
         return self.rhs - self.lhs
 
 
-def _plain_tail(m: int, terms: int, bits: int) -> Interval:
+def _plain_tail(m: int, terms: int) -> Interval:
     """sum_{l >= m} (l + 1/2)**(-2) = tail over j >= m of (j + 1/2)**(-2)."""
-    return tail_sum_enclosure(m, HALF, 1, terms=terms, bits=bits)
+    return tail_sum_enclosure(m, HALF, 1, terms=terms)
 
 
 def _decide(lhs: Interval, rhs: Interval) -> Optional[bool]:
@@ -107,7 +107,7 @@ def mme_check(b: Union[int, LoopLetter], system: str, bits: int = 128) -> MmeVer
         for terms, bb in _ESCALATION:
             a = alpha_interval(bb)
             lhs = Fraction(9, 4) * ((k - a) ** 2).reciprocal()
-            rhs = Fraction(8, 9) * tail_sum_enclosure(k + 1, a, 1, terms=terms, bits=bb)
+            rhs = Fraction(8, 9) * tail_sum_enclosure(k + 1, a, 1, terms=terms)
             got = _decide(lhs, rhs)
             if got is not None:
                 return MmeVerdict(str(b), got, lhs, rhs)
@@ -127,26 +127,26 @@ def mme_check(b: Union[int, LoopLetter], system: str, bits: int = 128) -> MmeVer
         if j > k:
             # run letters 2^j k with j > k precede +-l for l >= j+1
             lhs = Interval.point(K_GLOBAL * Fraction(1, 4) ** j / (k - HALF) ** 2)
-            rhs = Fraction(18, 25) * _plain_tail(j + 1, terms, bb)
+            rhs = Fraction(18, 25) * _plain_tail(j + 1, terms)
         elif j >= 1:
             # run letters with 1 <= j <= k precede +-l for l >= k+2
             lhs = Interval.point(K_GLOBAL * Fraction(1, 4) ** j / (k - HALF) ** 2)
-            rhs = Fraction(18, 25) * _plain_tail(k + 2, terms, bb)
+            rhs = Fraction(18, 25) * _plain_tail(k + 2, terms)
         elif k >= 6:
             # plain letters k >= 6 precede +-l for l >= k+1
             lhs = Interval.point(K_GLOBAL / (k - HALF) ** 2)
-            rhs = Fraction(18, 25) * _plain_tail(k + 1, terms, bb)
+            rhs = Fraction(18, 25) * _plain_tail(k + 1, terms)
         elif k == 5:
             # sharper distortion over the preceding letters, and the run
             # letters 2^r l with l >= 6 join the successor sum
             g = run_factor_interval(bb)
             lhs = Interval.point(K_PREC5 / (k - HALF) ** 2)
-            rhs = Fraction(18, 25) * (1 + g) * _plain_tail(6, terms, bb)
+            rhs = Fraction(18, 25) * (1 + g) * _plain_tail(6, terms)
         else:  # k == 4
             g = run_factor_interval(bb)
             lhs = k_prec4_interval(bb) * Fraction(4, 49)
-            rhs = (2 * weighted_tail(5, (3, 5), (5, 7), terms, bb)
-                   + Fraction(18, 25) * g * _plain_tail(3, terms, bb))
+            rhs = (2 * weighted_tail(5, (3, 5), (5, 7), terms)
+                   + Fraction(18, 25) * g * _plain_tail(3, terms))
         got = _decide(lhs, rhs)
         if got is not None:
             return MmeVerdict(name, got, lhs, rhs)
@@ -190,8 +190,8 @@ def direct_lambda_comparison(f_small, f_large, t_grid: Sequence[Fraction], *,
             continue
         row = None
         if t <= 1:
-            z1s = partition_sum(small, t, 1, bits=bits)
-            z1l = partition_sum(large, t, 1, bits=bits)
+            z1s = partition_sum(small, t, 1)
+            z1l = partition_sum(large, t, 1)
             if not is_divergent(z1s) and not is_divergent(z1l):
                 k_large = large.k_interval(bits)
                 rhs = z1l / k_large
@@ -297,7 +297,6 @@ def construct(target, system: str, budget: int, depth: int, *,
     if system not in ("phi_f", "phi_v"):
         raise ValueError("system must be phi_f or phi_v")
 
-    kw = dict(bits=bits, word_budget=word_budget)
     if system == "phi_f":
         ordering: Sequence = phi_f_ordering(budget)
 
@@ -313,12 +312,14 @@ def construct(target, system: str, budget: int, depth: int, *,
     decisions: List[Decision] = []
     for letter in ordering:
         tentative = accepted + [letter]
-        ok = certify_nonpos(make(tentative), target, depth, **kw)
+        ok = certify_nonpos(make(tentative), target, depth,
+                            word_budget=word_budget)
         if ok:
             accepted = tentative
         decisions.append(Decision(str(letter), ok, Fraction(0), target))
 
-    achieved = dim_interval(make(accepted), depth, achieved_tol, **kw)
+    achieved = dim_interval(make(accepted), depth, achieved_tol, bits=bits,
+                            word_budget=word_budget)
     # the final set is the last accepted tentative set, whose P(target) <= 0
     # certificate already bounds its dimension by the target
     achieved = replace(achieved, hi=min(achieved.hi, target))

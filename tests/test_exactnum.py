@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nicfdim.exactnum import (
     DivergentTailError,
@@ -218,6 +219,25 @@ def test_tail_more_terms_tightens():
     tight = tail_sum_enclosure(4, a, 1, terms=16)
     assert wide.lo <= tight.lo and tight.hi <= wide.hi
     assert tight.width < wide.width
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k=st.integers(2, 60), terms=st.integers(0, 4),
+       s=st.sampled_from([F(j, 16) for j in range(9, 48) if j % 8]))
+def test_float_tail_contains_exact_tail(k, terms, s):
+    # at fractional 2s the tail runs in the float lane; the oracle is the
+    # same integral-test formula with exact (root-taking) powers
+    c, two_s = F(1, 2), 2 * s
+    lo = hi = F(0)
+    for j in range(k, k + terms):
+        f = interval_pow(c + j, -two_s, 96)
+        lo += f.lo
+        hi += f.hi
+    m = k + terms
+    integral = interval_pow(c + m, 1 - two_s, 96) / (two_s - 1)
+    first = interval_pow(c + m, -two_s, 96)
+    exact = Interval(lo + integral.lo, hi + first.hi + integral.hi)
+    assert tail_sum_enclosure(k, c, s, terms=terms).contains(exact)
 
 
 def test_tail_divergence():

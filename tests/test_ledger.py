@@ -94,3 +94,22 @@ def test_rendering():
     assert payload[0]["case"] == "case_esti"
     assert payload[0]["sweep"][0]["params"] == {"k": 3}
     assert isinstance(payload[0]["margin"][0], float)
+
+
+def test_ledger_and_mme_check_stay_float_free(monkeypatch):
+    # every ledger and mme_check tail has s = 1, so no libm call is made
+    from nicfdim import exactnum
+    from nicfdim.ledger import run_all
+    from nicfdim.nicf_system import LoopLetter
+    from nicfdim.spectrum import mme_check
+
+    def no_floats(*args):
+        raise AssertionError("guarded float lane on the exact path")
+
+    for name in ("fpow_bounds", "flog_down", "flog_up", "fexp_down", "fexp_up"):
+        monkeypatch.setattr(exactnum, name, no_floats)
+    assert all(r.verdict.startswith("holds") for r in run_all())
+    for b in (4, -7, 25):
+        assert mme_check(b, "phi_f").passes
+    for b in (4, -5, 9, LoopLetter(1, 2, 3), LoopLetter(-1, 5, 3)):
+        assert mme_check(b, "phi_v").passes

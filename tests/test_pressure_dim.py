@@ -296,6 +296,29 @@ def test_appendix_cycle4_pressure_ordering():
         assert pv.hi < pw.lo
 
 
+def _graph_pressure_oracle(ap, t):
+    # log of the spectral radius of M(t)[u][v] = sum of r_e**t over e: u -> v
+    import numpy as np
+    g = ap.graph
+    index = {v: i for i, v in enumerate(g.vertices)}
+    m = np.zeros((len(index), len(index)))
+    for e in g.edges:
+        m[index[g.initial[e]], index[g.terminal[e]]] += float(ap.ratios[e]) ** float(t)
+    return math.log(max(abs(np.linalg.eigvals(m))))
+
+
+@pytest.mark.parametrize("name, edges", [("cycle4", (1, 2, 3, 4)),
+                                         ("triangle6", tuple("abcdef"))])
+def test_full_pressure_closed_matches_eigenvalue_oracle(name, edges):
+    ap = appendix_example(name, {e: F(1, 2 + i) for i, e in enumerate(edges)})
+    # t = 0 gives log rho of the bare graph: the plastic number for cycle4
+    for t in (F(0), F(1, 16), F(1, 3), F(1, 2), F(1), F(7, 3), F(5)):
+        pf = ap.full_pressure_closed(t, bits=96)
+        oracle = _graph_pressure_oracle(ap, t)
+        assert float(pf.lo) - 1e-12 <= oracle <= float(pf.hi) + 1e-12
+        assert pf.width < F(1, 10 ** 9)
+
+
 def test_appendix_triangle6():
     ap = appendix_example("triangle6", {e: F(1, 4) for e in "abcdef"})
     fe = finiteness_exponent(ap.vertex_ifs("v"))
@@ -374,6 +397,25 @@ def test_float_lane_contains_exact_lane_at_dyadic_t(letters, n, t):
     ze = _z_exact(mats, n, t, 96)
     zf = _z_float(mats, n, t)
     assert zf.lo <= ze.lo <= ze.hi <= zf.hi
+
+
+def test_pressure_path_takes_no_integer_roots(monkeypatch):
+    # x**t is exact only at integer t, where no root is needed
+    from nicfdim import exactnum
+    from nicfdim.spectrum import construct, direct_lambda_comparison
+
+    def no_roots(n, k):
+        raise AssertionError(f"integer {k}-th root on the pressure path")
+
+    monkeypatch.setattr(exactnum, "integer_nth_root", no_roots)
+    absmin = AlphabetSelection.cofinite(3, 5)
+    dim_interval(PM3, 10, F(1, 50))
+    dim_interval(absmin, 4, F(1, 1000))
+    pressure_bounds(absmin, F(7001, 10000), 4)
+    partition_sum(vertex_system(4, 12), F(3, 4), 2)
+    construct(F(3, 10), "phi_f", 8, 8)
+    direct_lambda_comparison(PM3, AlphabetSelection.cofinite(4, 60),
+                             [F(3, 5), F(3, 4), F(11, 20), F(1)])
 
 
 def test_word_bases_cache_matches_cold_call():
