@@ -13,9 +13,13 @@ Subcommands map one-to-one onto library capabilities:
 Exit codes: 0 success, 2 parse errors, 3 indeterminate certification
 (e.g. a dimension tolerance that was not achieved), 4 a numeric-range
 failure (a word denominator or partition sum outside the range of the
-float lane).  ``--threads`` is accepted and has no effect.  All numeric CSV
-fields are shortest-round-trip doubles rounded outward from the exact
-rational bounds, so downstream consumers keep two-sided rigor.
+float lane).  ``--threads`` is accepted and has no effect.  ``--bits``
+is an ``appendix`` option only (the precision of the worked examples'
+exact roots, at least 1); ``dim``, ``pressure`` and ``spectrum`` enclose
+the distortion constant K at one fixed precision (``k_interval()``
+takes no argument), so no option sets it.  All numeric CSV fields are
+shortest-round-trip doubles rounded outward from the exact rational
+bounds, so downstream consumers keep two-sided rigor.
 """
 
 from __future__ import annotations
@@ -168,7 +172,7 @@ def _cmd_nicf(args) -> int:
 def _cmd_dim(args) -> int:
     sel = parse_alphabet_spec(args.alphabet)
     tol = _parse_rational(args.tol)
-    di = dim_interval(DigitIfs(sel), args.depth, tol, bits=args.bits)
+    di = dim_interval(DigitIfs(sel), args.depth, tol)
     print(json.dumps({"lo": _out_lo(di.lo), "hi": _out_hi(di.hi),
                       "depth": di.depth}))
     return 0 if di.achieved() else INDETERMINATE
@@ -179,7 +183,7 @@ def _cmd_pressure(args) -> int:
     grid = _parse_t_grid(args.t_grid)
     rows = ["t,pressure_lo,pressure_hi"]
     for t in grid:
-        pb = pressure_bounds(DigitIfs(sel), t, args.depth, bits=args.bits)
+        pb = pressure_bounds(DigitIfs(sel), t, args.depth)
         if is_divergent(pb):
             rows.append(f"{float(t)!r},inf,inf")
         else:
@@ -196,7 +200,7 @@ def _cmd_pressure(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     trace = construct(_parse_rational(args.target), args.system, args.budget,
-                      args.depth, bits=args.bits)
+                      args.depth)
     print(json.dumps(trace.to_json_dict(), indent=2))
     return 0
 
@@ -256,6 +260,16 @@ def _cmd_appendix(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _bits(text: str) -> int:
+    try:
+        bits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if bits < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 bit, got {bits}")
+    return bits
+
+
 def _allow_negative_values(p: argparse.ArgumentParser) -> None:
     p._negative_number_matcher = _NEGATIVE_VALUE
     for action in p._actions:
@@ -269,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nicfdim",
         description="rigorous dimension bounds for nearest-integer "
                     "continued-fraction digit systems")
-    ap.add_argument("--bits", type=int, default=64,
-                    help="working precision for enclosures (default 64)")
     ap.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility; has no effect")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -315,6 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", default="1/3")
     p.add_argument("--t-grid", required=True, help="start:stop:step")
     p.add_argument("--max-len", type=int, default=24)
+    p.add_argument("--bits", type=_bits, default=64,
+                   help="precision of the exact roots (default 64)")
     p.add_argument("--csv", help="output path (stdout if omitted)")
     _allow_negative_values(ap)
     return ap

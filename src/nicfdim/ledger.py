@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cf_core import Word
@@ -72,17 +73,17 @@ class LedgerResult:
         return out
 
 
-def _decide(make_lhs: Callable[[int, int], Interval],
-            make_rhs: Callable[[int, int], Interval]) -> Tuple[str, Interval, Interval]:
+def _decide(sides: Callable[[int, int], Tuple[Interval, Interval]]
+            ) -> Tuple[str, Interval, Interval]:
     """Escalate (terms, bits) until the comparison lhs <= rhs separates.
 
-    Not shared with ``spectrum._decide``: the ledger certifies the
-    displayed non-strict lhs <= rhs and escalates further, while the
-    letter-addition criterion needs the strict M_b < 2 sum m_c."""
+    ``sides(terms, bits)`` returns (lhs, rhs).  Not shared with
+    ``spectrum.mme_check``: the ledger certifies the displayed non-strict
+    lhs <= rhs and escalates further, while the letter-addition criterion
+    needs the strict M_b < 2 sum m_c."""
     lhs = rhs = None
     for terms, bits in _ESCALATION:
-        lhs = make_lhs(terms, bits)
-        rhs = make_rhs(terms, bits)
+        lhs, rhs = sides(terms, bits)
         if lhs.hi <= rhs.lo:
             return HOLDS, lhs, rhs
         if lhs.lo > rhs.hi:
@@ -98,20 +99,23 @@ def _margin(lhs: Interval, rhs: Interval) -> Interval:
 # cases
 # ---------------------------------------------------------------------------
 
+def lemma_2_6_sides(k: int, terms: int, bits: int) -> Tuple[Interval, Interval]:
+    """(9/4)(k - a)^-2 and (8/9) sum_{j>=k+1} (j + a)^-2, a = (3 - sqrt5)/2:
+    the digit-sum lemma, which is also M_k < 2 sum m_c for phi_f."""
+    a = alpha_interval(bits)
+    return (Fraction(9, 4) * ((k - a) ** 2).reciprocal(),
+            Fraction(8, 9) * tail_sum_enclosure(k + 1, a, 1, terms=terms))
+
+
 def _case_lemma_2_6(k_max: int = 200) -> LedgerResult:
     rows: List[SweepRow] = []
     worst: Optional[Tuple[Interval, Interval]] = None
     any_reduced_fail = False
     for k in range(4, k_max + 1):
-        v_full, lhs, rhs = _decide(
-            lambda terms, bits: Fraction(9, 4) * ((k - alpha_interval(bits)) ** 2).reciprocal(),
-            lambda terms, bits: Fraction(8, 9) * tail_sum_enclosure(
-                k + 1, alpha_interval(bits), 1, terms=terms),
-        )
-        v_red, lhs_r, rhs_r = _decide(
-            lambda terms, bits: Fraction(9, 4) * ((k - alpha_interval(bits)) ** 2).reciprocal(),
-            lambda terms, bits: Fraction(8, 9) * (k + 1 + alpha_interval(bits)).reciprocal(),
-        )
+        v_full, lhs, rhs = _decide(partial(lemma_2_6_sides, k))
+        v_red, lhs_r, rhs_r = _decide(lambda terms, bits: (
+            Fraction(9, 4) * ((k - alpha_interval(bits)) ** 2).reciprocal(),
+            Fraction(8, 9) * (k + 1 + alpha_interval(bits)).reciprocal()))
         if v_red == FAILS:
             any_reduced_fail = True
         row_verdict = v_full if v_full != HOLDS or v_red == HOLDS else EXACT_SUM_ONLY
@@ -220,10 +224,8 @@ def _case_pm5(k_max: int = 200) -> LedgerResult:
         if prev is not None and val >= prev:
             monotone = False
         prev = val
-        verdict, lhs, rhs = _decide(
-            lambda terms, bits, v=val: Interval.point(v),
-            lambda terms, bits: 1 + run_factor_interval(bits),
-        )
+        verdict, lhs, rhs = _decide(lambda terms, bits, v=val: (
+            Interval.point(v), 1 + run_factor_interval(bits)))
         rows.append(SweepRow({"k": k}, verdict, _margin(lhs, rhs)))
         if k == 5:
             tight = (lhs, rhs)
@@ -256,26 +258,21 @@ def weighted_tail(m: int, num: Tuple[int, int], den: Tuple[int, int],
 
 
 def _case_pm4() -> LedgerResult:
-    def rhs(weights):
+    def sides(norm, weights):
         def make(terms, bits):
             terms = max(terms, 64)
             a_sum = weighted_tail(5, weights[0], weights[1], terms)
             b_sum = Fraction(18, 25) * run_factor_interval(bits) * tail_sum_enclosure(
                 3, HALF, 1, terms=terms)
-            return 2 * a_sum + b_sum
+            return k_prec4_interval(bits) * norm, 2 * a_sum + b_sum
         return make
 
     # derivation constants: M_4 = K_{prec 4} * ||phi_4'|| with weights (3l+5)/(5l+7)
-    v_main, lhs, rhs_iv = _decide(
-        lambda terms, bits: k_prec4_interval(bits) * Fraction(4, 49),
-        rhs(((3, 5), (5, 7))),
-    )
+    v_main, lhs, rhs_iv = _decide(sides(Fraction(4, 49), ((3, 5), (5, 7))))
     rows = [SweepRow({"k": 4}, v_main, _margin(lhs, rhs_iv), "main")]
     # printed final display: squared norm on the left, weights (3l+2)/(5l+2)
     v_printed, lhs_p, rhs_p = _decide(
-        lambda terms, bits: k_prec4_interval(bits) * Fraction(4, 49) ** 2,
-        rhs(((3, 2), (5, 2))),
-    )
+        sides(Fraction(4, 49) ** 2, ((3, 2), (5, 2))))
     rows.append(SweepRow({"k": 4}, v_printed, _margin(lhs_p, rhs_p), "printed"))
     verdict = HOLDS if v_main == HOLDS else FAILS
     return LedgerResult(
@@ -296,14 +293,10 @@ def _case_pm4() -> LedgerResult:
 
 def _case_letter3() -> LedgerResult:
     rhs_iv = Interval.point(Fraction(25, 49))
-    v_printed, lhs_p, _ = _decide(
-        lambda terms, bits: Fraction(2, 7) * k4_printed_interval(bits),
-        lambda terms, bits: rhs_iv,
-    )
-    v_corr, lhs_c, _ = _decide(
-        lambda terms, bits: Fraction(2, 7) * k4_corrected_interval(bits),
-        lambda terms, bits: rhs_iv,
-    )
+    v_printed, lhs_p, _ = _decide(lambda terms, bits: (
+        Fraction(2, 7) * k4_printed_interval(bits), rhs_iv))
+    v_corr, lhs_c, _ = _decide(lambda terms, bits: (
+        Fraction(2, 7) * k4_corrected_interval(bits), rhs_iv))
     rows = (
         SweepRow({}, v_printed, _margin(lhs_p, rhs_iv), "printed"),
         SweepRow({}, v_corr, _margin(lhs_c, rhs_iv), "corrected"),

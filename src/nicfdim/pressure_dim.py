@@ -23,9 +23,12 @@ them to a new t.  Sums are deterministic: letter parts add in fixed order.
 
 Every system (``DigitIfs``, ``LoopIfs``, ``SimilarityIfs``) offers the
 same members: ``letter_count``, ``infinite_alphabet``, ``theta``,
-``k_interval(bits)``, ``ladder(max_depth, word_budget)`` and
+``k_interval()``, ``ladder(max_depth, word_budget)`` and
 ``partition_sum_body(t, n)``; the functions below call those
-instead of asking which kind of system they hold.
+instead of asking which kind of system they hold.  ``k_interval()``
+encloses K at one fixed precision (96-bit surds): K enters the bounds
+only through ``log K`` in doubles or ``K**t``, so a finer surd would
+move no bound by more than about 2**-90.
 """
 
 from __future__ import annotations
@@ -157,9 +160,9 @@ class DigitIfs(_WordTreeIfs):
     def infinite_alphabet(self) -> bool:
         return self.selection.is_cofinite
 
-    def k_interval(self, bits: int = 96) -> Interval:
-        beta = (alpha_interval(bits) if self.selection.min_magnitude() == 3
-                else beta4_interval(bits))
+    def k_interval(self) -> Interval:
+        beta = (alpha_interval() if self.selection.min_magnitude() == 3
+                else beta4_interval())
         return distortion_from_ratio(beta)
 
     def _mats(self):
@@ -191,7 +194,7 @@ class LoopIfs(_WordTreeIfs):
     def infinite_alphabet(self) -> bool:
         return self.with_tail
 
-    def k_interval(self, bits: int = 96) -> Interval:
+    def k_interval(self) -> Interval:
         return Interval.point(K_GLOBAL)
 
     def _mats(self):
@@ -246,7 +249,7 @@ class SimilarityIfs:
     def theta(self) -> Fraction:
         return Fraction(0)  # geometric families converge for every t > 0
 
-    def k_interval(self, bits: int = 96) -> Interval:
+    def k_interval(self) -> Interval:
         return Interval.point(Fraction(1))
 
     def ladder(self, max_depth: int, word_budget: int) -> List[int]:
@@ -457,7 +460,7 @@ class PressureBounds:
         return Interval(self.lo, self.hi)
 
 
-def pressure_bounds(system, t: Fraction, n: int, *, bits: int = 64):
+def pressure_bounds(system, t: Fraction, n: int):
     """Two-sided pressure enclosure at depth n, or DIVERGENT."""
     system = as_system(system)
     t = Fraction(t)
@@ -468,7 +471,7 @@ def pressure_bounds(system, t: Fraction, n: int, *, bits: int = 64):
         raise NumericRangeError(
             "partition sum vanishes at this precision; no finite lower "
             "pressure bound at this depth/exponent")
-    k = system.k_interval(bits)
+    k = system.k_interval()
     log_z = log_interval(z)
     log_k_t = log_interval(k) * t
     return PressureBounds(
@@ -478,12 +481,6 @@ def pressure_bounds(system, t: Fraction, n: int, *, bits: int = 64):
         depth=n,
         k_used=k.hi,
     )
-
-
-def _k_pow_hi(system: System, t: Fraction, bits: int) -> Fraction:
-    """Upper bound of K**t."""
-    k = system.k_interval(bits)
-    return Fraction(1) if k.hi == 1 else pow_iv(k.hi, t).hi
 
 
 def certify_nonpos(system, t: Fraction, max_depth: int, *,
@@ -500,7 +497,7 @@ def certify_nonpos(system, t: Fraction, max_depth: int, *,
     return False
 
 
-def certify_nonneg(system, t: Fraction, max_depth: int, *, bits: int = 64,
+def certify_nonneg(system, t: Fraction, max_depth: int, *,
                    word_budget: int = 300_000) -> bool:
     """True iff some depth certifies P(t) >= 0 via Z_n >= K**t; a divergent
     partition sum certifies immediately (the pressure is then infinite)."""
@@ -514,7 +511,9 @@ def certify_nonneg(system, t: Fraction, max_depth: int, *, bits: int = 64,
         if is_divergent(z):
             return True
         if k_t is None:
-            k_t = _k_pow_hi(system, t, bits)
+            # K = 1 exactly: pow_iv(1, t) pads above 1 at fractional t
+            k = system.k_interval().hi
+            k_t = k if k == 1 else pow_iv(k, t).hi
         if z.lo >= k_t:
             return True
     return False
@@ -546,7 +545,7 @@ class DimensionInterval:
 _UPPER_STARTS = (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3))
 
 
-def dim_interval(system, max_depth: int, tol, *, bits: int = 64,
+def dim_interval(system, max_depth: int, tol, *,
                  word_budget: int = 300_000) -> DimensionInterval:
     """Certified enclosure of the Bowen root by bisection on t.
 
@@ -557,7 +556,7 @@ def dim_interval(system, max_depth: int, tol, *, bits: int = 64,
     """
     system = as_system(system)
     tol = Fraction(tol)
-    nonneg = partial(certify_nonneg, system, max_depth=max_depth, bits=bits,
+    nonneg = partial(certify_nonneg, system, max_depth=max_depth,
                      word_budget=word_budget)
     nonpos = partial(certify_nonpos, system, max_depth=max_depth,
                      word_budget=word_budget)
@@ -636,7 +635,7 @@ _NATURE_GRID = (Fraction(9, 16), Fraction(5, 8), Fraction(3, 4), Fraction(7, 8),
 
 def classify_nature(system, depth: int = 6,
                     t_samples: Optional[Sequence[Fraction]] = None,
-                    *, bits: int = 64, word_budget: int = 200_000) -> str:
+                    *, word_budget: int = 200_000) -> str:
     """Certified regularity classification; 'indeterminate' when the
     sampled certificates decide nothing."""
     system = as_system(system)
@@ -650,7 +649,7 @@ def classify_nature(system, depth: int = 6,
     ladder = system.ladder(depth, word_budget)
     for t in samples:
         for n in ladder:
-            pb = pressure_bounds(system, Fraction(t), n, bits=bits)
+            pb = pressure_bounds(system, Fraction(t), n)
             if is_divergent(pb):
                 break
             if pb.lo > 0:
@@ -658,7 +657,7 @@ def classify_nature(system, depth: int = 6,
     # perhaps P < 0 already just above theta (then P is never zero)
     for delta in (Fraction(1, 64), Fraction(1, 128)):
         for n in ladder:
-            pb = pressure_bounds(system, theta + delta, n, bits=bits)
+            pb = pressure_bounds(system, theta + delta, n)
             if not is_divergent(pb) and pb.hi < 0:
                 return "irregular"
     return "indeterminate"

@@ -21,16 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .exactnum import Interval, float_down, float_up, tail_sum_enclosure
-from .ledger import weighted_tail
+from .ledger import lemma_2_6_sides, weighted_tail
 from .nicf_system import (
     HALF,
     K_GLOBAL,
     K_PREC5,
     LoopLetter,
-    alpha_interval,
     k_prec4_interval,
     run_factor_interval,
     vertex_alphabet,
@@ -72,23 +72,44 @@ def _plain_tail(m: int, terms: int) -> Interval:
     return tail_sum_enclosure(m, HALF, 1, terms=terms)
 
 
-def _decide(lhs: Interval, rhs: Interval) -> Optional[bool]:
-    if lhs.hi < rhs.lo:
-        return True
-    if lhs.lo > rhs.hi:
-        return False
-    return None
+def _phi_v_sides(j: int, k: int, terms: int, bits: int) -> Tuple[Interval, Interval]:
+    """M_b and 2 * the successor m-sum for the loop letter 2^j k (either sign)."""
+    if j > k:
+        # run letters 2^j k with j > k precede +-l for l >= j+1
+        lhs = Interval.point(K_GLOBAL * Fraction(1, 4) ** j / (k - HALF) ** 2)
+        return lhs, Fraction(18, 25) * _plain_tail(j + 1, terms)
+    if j >= 1:
+        # run letters with 1 <= j <= k precede +-l for l >= k+2
+        lhs = Interval.point(K_GLOBAL * Fraction(1, 4) ** j / (k - HALF) ** 2)
+        return lhs, Fraction(18, 25) * _plain_tail(k + 2, terms)
+    if k >= 6:
+        # plain letters k >= 6 precede +-l for l >= k+1
+        lhs = Interval.point(K_GLOBAL / (k - HALF) ** 2)
+        return lhs, Fraction(18, 25) * _plain_tail(k + 1, terms)
+    g = run_factor_interval(bits)
+    if k == 5:
+        # sharper distortion over the preceding letters, and the run
+        # letters 2^r l with l >= 6 join the successor sum
+        lhs = Interval.point(K_PREC5 / (k - HALF) ** 2)
+        return lhs, Fraction(18, 25) * (1 + g) * _plain_tail(6, terms)
+    # k == 4
+    return (k_prec4_interval(bits) * Fraction(4, 49),
+            2 * weighted_tail(5, (3, 5), (5, 7), terms)
+            + Fraction(18, 25) * g * _plain_tail(3, terms))
 
 
 _ESCALATION = ((4, 128), (8, 128), (16, 128), (32, 256), (64, 256), (128, 512))
 
 
-def mme_check(b: Union[int, LoopLetter], system: str, bits: int = 128) -> MmeVerdict:
+def mme_check(b: Union[int, LoopLetter], system: str) -> MmeVerdict:
     """Certify M_b < 2 sum m_c over the successors of b, per the ordering.
 
-    ``system`` is 'phi_f' (restricted digits, natural order) or 'phi_v'
-    (the induced vertex alphabet in block order).  Letters +-3 of either
-    system return the direct-comparison signal instead of a verdict.
+    ``system`` is 'phi_f' (restricted digits, natural order; the sides
+    are those of the digit-sum lemma, ``ledger.lemma_2_6_sides``) or
+    'phi_v' (the induced vertex alphabet in block order).  Letters +-3 of
+    either system return the direct-comparison signal instead of a
+    verdict.  Each step of ``_ESCALATION`` sets the tail terms and surd
+    bits; the first step whose sides separate strictly decides.
     """
     if system not in ("phi_f", "phi_v"):
         raise ValueError("system must be phi_f or phi_v")
@@ -99,58 +120,23 @@ def mme_check(b: Union[int, LoopLetter], system: str, bits: int = 128) -> MmeVer
     if system == "phi_f":
         if not isinstance(b, int):
             raise ValueError("phi_f letters are plain digits")
-        k = abs(b)
+        j, k = 0, abs(b)
         if k < 3:
             raise ValueError("constants defined on F")
-        if k == 3:
-            return MmeVerdict(str(b), None, None, None, DIRECT_COMPARISON)
-        for terms, bb in _ESCALATION:
-            a = alpha_interval(bb)
-            lhs = Fraction(9, 4) * ((k - a) ** 2).reciprocal()
-            rhs = Fraction(8, 9) * tail_sum_enclosure(k + 1, a, 1, terms=terms)
-            got = _decide(lhs, rhs)
-            if got is not None:
-                return MmeVerdict(str(b), got, lhs, rhs)
-        return MmeVerdict(str(b), None, lhs, rhs, "undecided at escalation cap")
-
-    # phi_v
-    if isinstance(b, int):
-        sign, j, k = (1 if b > 0 else -1), 0, abs(b)
+        sides = partial(lemma_2_6_sides, k)
     else:
-        sign, j, k = b.sign, b.j, b.k
-    name = str(b if isinstance(b, LoopLetter) else b)
+        j, k = (0, abs(b)) if isinstance(b, int) else (b.j, b.k)
+        sides = partial(_phi_v_sides, j, k)
 
     if j == 0 and k == 3:
-        return MmeVerdict(name, None, None, None, DIRECT_COMPARISON)
-
-    for terms, bb in _ESCALATION:
-        if j > k:
-            # run letters 2^j k with j > k precede +-l for l >= j+1
-            lhs = Interval.point(K_GLOBAL * Fraction(1, 4) ** j / (k - HALF) ** 2)
-            rhs = Fraction(18, 25) * _plain_tail(j + 1, terms)
-        elif j >= 1:
-            # run letters with 1 <= j <= k precede +-l for l >= k+2
-            lhs = Interval.point(K_GLOBAL * Fraction(1, 4) ** j / (k - HALF) ** 2)
-            rhs = Fraction(18, 25) * _plain_tail(k + 2, terms)
-        elif k >= 6:
-            # plain letters k >= 6 precede +-l for l >= k+1
-            lhs = Interval.point(K_GLOBAL / (k - HALF) ** 2)
-            rhs = Fraction(18, 25) * _plain_tail(k + 1, terms)
-        elif k == 5:
-            # sharper distortion over the preceding letters, and the run
-            # letters 2^r l with l >= 6 join the successor sum
-            g = run_factor_interval(bb)
-            lhs = Interval.point(K_PREC5 / (k - HALF) ** 2)
-            rhs = Fraction(18, 25) * (1 + g) * _plain_tail(6, terms)
-        else:  # k == 4
-            g = run_factor_interval(bb)
-            lhs = k_prec4_interval(bb) * Fraction(4, 49)
-            rhs = (2 * weighted_tail(5, (3, 5), (5, 7), terms)
-                   + Fraction(18, 25) * g * _plain_tail(3, terms))
-        got = _decide(lhs, rhs)
-        if got is not None:
-            return MmeVerdict(name, got, lhs, rhs)
-    return MmeVerdict(name, None, lhs, rhs, "undecided at escalation cap")
+        return MmeVerdict(str(b), None, None, None, DIRECT_COMPARISON)
+    for terms, bits in _ESCALATION:
+        lhs, rhs = sides(terms, bits)
+        if lhs.hi < rhs.lo:
+            return MmeVerdict(str(b), True, lhs, rhs)
+        if lhs.lo > rhs.hi:
+            return MmeVerdict(str(b), False, lhs, rhs)
+    return MmeVerdict(str(b), None, lhs, rhs, "undecided at escalation cap")
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +153,7 @@ class ComparisonRow:
 
 
 def direct_lambda_comparison(f_small, f_large, t_grid: Sequence[Fraction], *,
-                             depth: int = 8, bits: int = 96,
+                             depth: int = 8,
                              word_budget: int = 200_000) -> List[ComparisonRow]:
     """Certify lambda_{F_small}(t) <= lambda_{F_large}(t) per grid point.
 
@@ -193,27 +179,26 @@ def direct_lambda_comparison(f_small, f_large, t_grid: Sequence[Fraction], *,
             z1s = partition_sum(small, t, 1)
             z1l = partition_sum(large, t, 1)
             if not is_divergent(z1s) and not is_divergent(z1l):
-                k_large = large.k_interval(bits)
-                rhs = z1l / k_large
+                rhs = z1l / large.k_interval()
                 if z1s.hi <= rhs.lo:
                     row = ComparisonRow(t, "pass", "z1-chain",
                                         float_up(z1s.hi), float_down(rhs.lo))
         if row is None:
-            row = _pressure_comparison(small, large, t, depth, bits, word_budget)
+            row = _pressure_comparison(small, large, t, depth, word_budget)
         rows.append(row)
     return rows
 
 
-def _pressure_comparison(small, large, t, depth, bits, word_budget) -> ComparisonRow:
+def _pressure_comparison(small, large, t, depth, word_budget) -> ComparisonRow:
     best_hi = None
     for n in small.ladder(depth, word_budget):
-        pb = pressure_bounds(small, t, n, bits=bits)
+        pb = pressure_bounds(small, t, n)
         if is_divergent(pb):
             return ComparisonRow(t, "indeterminate", "pressure")
         best_hi = pb.hi if best_hi is None else min(best_hi, pb.hi)
     best_lo = None
     for n in large.ladder(depth, word_budget):
-        pb = pressure_bounds(large, t, n, bits=bits)
+        pb = pressure_bounds(large, t, n)
         if is_divergent(pb):
             return ComparisonRow(t, "pass", "divergence")
         best_lo = pb.lo if best_lo is None else max(best_lo, pb.lo)
@@ -277,7 +262,7 @@ def phi_f_ordering(budget: int) -> List[int]:
 
 
 def construct(target, system: str, budget: int, depth: int, *,
-              achieved_tol=Fraction(1, 100), bits: int = 64,
+              achieved_tol=Fraction(1, 100),
               word_budget: int = 150_000) -> SpectrumTrace:
     """Greedy sweep over the ordering, keeping a letter only when the
     tentative set's dimension is certified <= target.
@@ -318,7 +303,7 @@ def construct(target, system: str, budget: int, depth: int, *,
             accepted = tentative
         decisions.append(Decision(str(letter), ok, Fraction(0), target))
 
-    achieved = dim_interval(make(accepted), depth, achieved_tol, bits=bits,
+    achieved = dim_interval(make(accepted), depth, achieved_tol,
                             word_budget=word_budget)
     # the final set is the last accepted tentative set, whose P(target) <= 0
     # certificate already bounds its dimension by the target

@@ -1,10 +1,13 @@
 """The command-line surface: parsing, formats, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nicfdim.cli import main, parse_alphabet_spec, SpecParseError
 
@@ -177,3 +180,91 @@ def test_pressure_csv_bounds_are_outward(tmp_path, capsys):
     pb = pressure_bounds(DigitIfs(AlphabetSelection.explicit([-3, 3])),
                          F(1, 2), 6)
     assert F(float(row[1])) <= pb.lo and pb.hi <= F(float(row[2]))
+
+
+
+def cli(*argv):
+    """(exit code, stdout, stderr) as the console script would give them:
+    argparse errors leave ``main`` through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_bits_is_an_appendix_option():
+    # before the subcommand, argparse takes "64" for the subcommand name
+    rc, out, _ = cli("--bits", "64", "dim", "--alphabet", "-3,3")
+    assert rc == 2 and out == ""
+    rc, out, err = cli("dim", "--alphabet", "-3,3", "--bits", "64")
+    assert rc == 2 and out == "" and "--bits" in err
+
+
+@pytest.mark.parametrize("bits", ["0", "-1"])
+def test_appendix_bits_below_one_rejected(bits):
+    rc, out, err = cli("appendix", "--example", "cycle4",
+                       "--t-grid", "0.125:0.125:1", "--bits", bits)
+    assert rc == 2 and out == ""
+    assert "argument --bits" in err
+
+
+def _appendix_rows(bits):
+    rc, out, _ = cli("appendix", "--example", "cycle4", "--bits", bits,
+                     "--t-grid", "0.125:0.375:0.125")
+    assert rc == 0
+    rows = list(csv.reader(out.splitlines()))[1:]
+    assert rows and all(r[-1] == "1" for r in rows)
+    # (closed_lo, closed_hi) and (enclosure_lo, enclosure_hi) per row
+    return [[(F(r[2]), F(r[3])), (F(r[4]), F(r[5]))] for r in rows]
+
+
+def test_appendix_bits_nests_the_enclosures():
+    coarse, mid, fine = (_appendix_rows(b) for b in ("8", "64", "160"))
+    for outer, inner in ((coarse, mid), (mid, fine)):
+        assert len(outer) == len(inner)
+        for row_o, row_i in zip(outer, inner):
+            for (lo_o, hi_o), (lo_i, hi_i) in zip(row_o, row_i):
+                assert lo_o <= lo_i <= hi_i <= hi_o
+    assert coarse != mid  # the option reaches the output
+
+
+# 10**12 overflows deep word denominators and 10**150 underflows Z_1
+# (exit 4); sizes below 3 are rejected (exit 2)
+_DIGIT = st.builds(lambda k, sign: sign * k,
+                   st.sampled_from((3, 4, 5, 7, 11, 10 ** 12, 10 ** 150, 2, 1)),
+                   st.sampled_from((-1, 1)))
+_SPEC = st.one_of(
+    st.lists(_DIGIT, min_size=1, max_size=4, unique=True).map(
+        lambda ds: ",".join(map(str, ds))),
+    st.builds(lambda lo, n: f"abs:{lo}..{lo + n}", st.integers(3, 9),
+              st.integers(-1, 2)),
+    st.builds(lambda lo, n: f"absmin:{lo}:{lo + n}", st.integers(3, 9),
+              st.integers(-1, 5)),
+    st.text("0123456789-,:.absmin ", max_size=12),
+)
+
+
+@given(
+    cmd=st.sampled_from(["dim", "pressure", "appendix"]),
+    spec=_SPEC,
+    depth=st.sampled_from((1, 2, 3, 0)),
+    grid=st.sampled_from(["0:1:0.5", "0.3:0.9:0.3", "1:2:1", "-1:0:1", "1:0",
+                          "0.55:0.55:1"]),
+    bits=st.one_of(st.integers(-2, 200).map(str), st.sampled_from(["", "x", "1.5"])),
+)
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_cli_exit_codes_are_documented(cmd, spec, depth, grid, bits):
+    # any exception other than argparse's SystemExit fails the property
+    if cmd == "dim":
+        argv = ["dim", f"--alphabet={spec}", "--depth", str(depth), "--tol", "0.1"]
+    elif cmd == "pressure":
+        argv = ["pressure", f"--alphabet={spec}", "--depth", str(depth),
+                "--t-grid", grid]
+    else:
+        argv = ["appendix", "--example", "cycle4",
+                "--t-grid", "0.125:0.25:0.125", f"--bits={bits}"]
+    rc, _, err = cli(*argv)
+    assert rc in (0, 2, 3, 4), (argv, rc, err)
