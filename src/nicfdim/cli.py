@@ -40,6 +40,7 @@ from .exactnum import float_down as _out_lo, float_up as _out_hi
 from .ledger import case_ids, render_table, results_to_json, run_all, run_case
 from .nicf_system import vertex_alphabet
 from .pressure_dim import (
+    WORD_BUDGET,
     DigitIfs,
     appendix_example,
     dim_interval,
@@ -179,11 +180,12 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_pressure(args) -> int:
-    sel = parse_alphabet_spec(args.alphabet)
+    system = DigitIfs(parse_alphabet_spec(args.alphabet))
+    depth = max(system.ladder(args.depth, WORD_BUDGET))
     grid = _parse_t_grid(args.t_grid)
     rows = ["t,pressure_lo,pressure_hi"]
     for t in grid:
-        pb = pressure_bounds(DigitIfs(sel), t, args.depth)
+        pb = pressure_bounds(system, t, depth)
         if is_divergent(pb):
             rows.append(f"{float(t)!r},inf,inf")
         else:
@@ -270,6 +272,11 @@ def _bits(text: str) -> int:
     return bits
 
 
+class _AppendixOnly(argparse.Action):
+    def __call__(self, parser, *_):
+        parser.error("--bits is an option of the appendix subcommand only")
+
+
 def _allow_negative_values(p: argparse.ArgumentParser) -> None:
     p._negative_number_matcher = _NEGATIVE_VALUE
     for action in p._actions:
@@ -285,6 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "continued-fraction digit systems")
     ap.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility; has no effect")
+    ap.add_argument("--bits", nargs="?", action=_AppendixOnly,
+                    help=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     nicf = sub.add_parser("nicf", help="continued-fraction digit queries")
@@ -306,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pressure", help="pressure curve over a t grid")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--t-grid", required=True, help="start:stop:step")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=int, default=8, help="capped at the "
+                   f"deepest with at most {WORD_BUDGET:,} words (default 8)")
     p.add_argument("--csv", help="output path (stdout if omitted)")
 
     p = sub.add_parser("spectrum", help="greedy digit-set construction")

@@ -13,13 +13,14 @@ pressure never need a limit:
     Z_n >= K**t   certifies  P_F(t) >= 0.
 
 Dimension intervals come from bisection on t using only such
-certificates; no uncertified digit is ever emitted.  Every x**t here is
-exact only at integer t, where no root is needed (``exactnum.pow_iv``;
-word trees also need <= 20,000 words), and in the guarded float lane
-otherwise; only the worked similarity examples keep exact roots (up to
-the 64th).  Each (letters, depth) tree is walked once into float bases
-4/d**2 kept in an 8-tree LRU cache, so bisection probes only re-raise
-them to a new t.  Sums are deterministic: letter parts add in fixed order.
+certificates; no uncertified digit is ever emitted.  Word-tree sums run
+in the guarded float lane at every t > 0: each (letters, depth) tree is
+walked once into one array of bases 4/d**2 kept in an 8-tree LRU cache,
+and bisection probes only re-raise them to a new t and add them in walk
+order.  Every other x**t is exact only at integer t, where no root is
+needed (``exactnum.pow_iv``), and in the float lane otherwise; only the
+worked similarity examples keep exact roots (up to the 64th).
+``_z_exact`` (exact rationals) is only the float lane's test oracle.
 
 Every system (``DigitIfs``, ``LoopIfs``, ``SimilarityIfs``) offers the
 same members: ``letter_count``, ``infinite_alphabet``, ``theta``,
@@ -93,9 +94,9 @@ class _WordTreeIfs:
     """Systems whose word norms come from continuant letter matrices.
 
     Subclasses supply ``letters``, ``infinite_alphabet``, ``k_interval``,
-    the letter matrices ``_mats()`` and the letter tail mass
-    ``_tail_mass(t)`` (None for a finite alphabet, else an upper
-    enclosure or DIVERGENT); the word-tree sum is shared.
+    the letter matrices ``_mats()`` and, for an infinite alphabet, an
+    enclosure ``_tail_mass(t)`` of the letter tail mass at t > theta;
+    the word-tree sum and the divergence test are shared.
     """
 
     @property
@@ -123,19 +124,19 @@ class _WordTreeIfs:
 
     def partition_sum_body(self, t: Fraction, n: int):
         """Z_n(t) for t >= 0, n >= 1 (see ``partition_sum``)."""
-        mats = self._mats()
-        tail = self._tail_mass(t)
-        if is_divergent(tail):
+        if self.infinite_alphabet and t <= self.theta:
             return DIVERGENT
-        if t == 0:  # a tail diverges at t = 0, so the alphabet is finite here
+        mats = self._mats()
+        if t == 0:  # the alphabet is finite here
             return Interval.point(Fraction(len(mats)) ** n)
 
-        core = _z_core(mats, n, t)
-        if tail is None:
+        core = _z_float(mats, n, t)
+        if not self.infinite_alphabet:
             return core
+        tail = self._tail_mass(t)
         if n == 1:
             return Interval(core.lo + tail.lo, core.hi + tail.hi)
-        sigma_t = _z_core(mats, 1, t)
+        sigma_t = _z_float(mats, 1, t)
         correction = ((sigma_t + tail) ** n).hi - (sigma_t ** n).lo
         return Interval(core.lo, core.hi + max(correction, 0))
 
@@ -171,10 +172,6 @@ class DigitIfs(_WordTreeIfs):
     def _tail_mass(self, t: Fraction):
         """Mass of the cofinite tail letters, both signs:
         2 * sum_{k > trunc} (k - 1/2)**(-2t)."""
-        if not self.infinite_alphabet:
-            return None
-        if 2 * t <= 1:
-            return DIVERGENT
         # (k - 1/2) for k >= trunc+1 equals (j + 1/2) for j >= trunc
         return 2 * tail_sum_enclosure(self.selection.trunc, HALF, t, terms=2)
 
@@ -201,8 +198,6 @@ class LoopIfs(_WordTreeIfs):
         return tuple(_letter_matrix(l.word_digits) for l in self.letters)
 
     def _tail_mass(self, t: Fraction):
-        if not self.with_tail:
-            return None
         return vertex_tail_bound(t, self.j_max, self.k_max)
 
 
@@ -286,8 +281,8 @@ def as_system(x) -> System:
 # partition sums
 # ---------------------------------------------------------------------------
 
-_EXACT_WORD_CAP = 20_000
 _WORD_CACHE_SIZE = 8  # word trees whose float bases stay cached
+WORD_BUDGET = 300_000  # default words per partition sum on a depth ladder
 
 
 def _letter_matrix(digits: Sequence[int]) -> Tuple[int, int, int, int]:
@@ -307,14 +302,9 @@ def _sup_from_state(q: int, qp: int) -> Fraction:
     return Fraction(4, d * d)
 
 
-def _z_core(mats, n: int, t: Fraction) -> Interval:
-    """The word-tree sum, exact only at integer t and in small trees."""
-    if t.denominator == 1 and len(mats) ** n <= _EXACT_WORD_CAP:
-        return _z_exact(mats, n, t)
-    return _z_float(mats, n, t)
-
-
-def _z_exact(mats, n: int, t: Fraction, bits: int = 64) -> Interval:
+def _z_exact(mats, n: int, t: Fraction, bits: int) -> Interval:
+    """The word-tree sum in exact rationals (``pow_enclosure`` terms at
+    ``bits``): the float lane's test oracle, called by no code path."""
     # one sum per first letter: running rational sums grow their
     # denominators with every term, so shorter runs are cheaper
     los, his = [], []
@@ -336,65 +326,54 @@ def _z_exact(mats, n: int, t: Fraction, bits: int = 64) -> Interval:
     return Interval(sum(los), sum(his))
 
 
-# Per-term relative slack folded outward around the raw float sum.  It
-# covers conversion of the exact integer denominator to float and the
-# division (<= 2**-52 each), libm pow error (~1 ulp), and a 4x margin.
-# Accumulation error is counted as count * 2**-51 (naive positive
-# summation is within (count-1) * 2**-53 relative) and an inexact float
-# exponent contributes |t - tf| * |log base| <= t 2**-53 * 2 log(dmax),
-# tracked via the largest denominator seen.  The bases are computed once
-# per tree (``_word_bases``), with the same two roundings (integer to
-# float, then the division), and summed in the same order, so this error
-# model stands as derived.
+# Error model of ``_z_float`` (u = 2**-53; all terms are positive, so
+# relative term errors bound the sum's).  A base 4.0 / d**2 is rounded
+# once (the division; d*d < 2**53 converts exactly) or twice, and x**tf
+# multiplies that by tf and adds libm's ~1 ulp (2u).  Every letter matrix
+# here has d >= 5, so a normal term (base**tf >= 2**-1022) has tf <= 387,
+# or tf <= 20 once d*d >= 2**53: each term is within 390u, inside
+# _TERM_SLACK = 512u.  Adding the terms left to right in one pass is
+# within (count - 1) u, counted as count * 2**-51 (4x).  An inexact
+# exponent tf != t adds |t - tf| |log base| <= t u 2 log(dmax), counted
+# twice.  Subnormal terms are still exact to 2**-1070 absolute.
 _TERM_SLACK = 2.0 ** -44
 
 
 @lru_cache(maxsize=_WORD_CACHE_SIZE)
 def _word_bases(mats: Tuple[Tuple[int, int, int, int], ...], n: int):
-    """Float bases 4.0 / d**2 of the depth-n words, one array per first
-    letter in walk order, and the largest denominator d (at least 2).
-    The arrays are shared by every caller through the cache: read only."""
-    per_letter = []
+    """Float bases 4.0 / d**2 of the depth-n words in walk order, and the
+    largest denominator d (at least 2).  The array is shared by every
+    caller through the cache: read only."""
+    bases = array("d")
     dmax = 2
+    stack = [(1, a, c) for a, _, c, _ in reversed(mats)]
     try:
-        for m0 in mats:
-            bases = array("d")
-            stack = [(1, m0[0], m0[2])]
-            while stack:
-                depth, q, qp = stack.pop()
-                if depth == n:
-                    d = 2 * abs(q) - abs(qp)
-                    bases.append(4.0 / float(d * d))
-                    if d > dmax:
-                        dmax = d
-                    continue
-                for a, b, c, dd in mats:
-                    stack.append((depth + 1, a * q + b * qp, c * q + dd * qp))
-            per_letter.append(bases)
+        while stack:
+            depth, q, qp = stack.pop()
+            if depth == n:
+                d = 2 * abs(q) - abs(qp)
+                bases.append(4.0 / float(d * d))
+                if d > dmax:
+                    dmax = d
+                continue
+            for a, b, c, dd in mats:
+                stack.append((depth + 1, a * q + b * qp, c * q + dd * qp))
     except OverflowError:
         raise NumericRangeError(
             f"a depth-{n} word denominator exceeds the float range") from None
-    return tuple(per_letter), dmax
+    return bases, dmax
 
 
 def _z_float(mats, n: int, t: Fraction) -> Interval:
     tf = float(t)
-    t_exact = Fraction(tf) == t
-    per_letter, dmax = _word_bases(tuple(mats), n)
-    partial = []  # one naive sum per first letter, in letter order
-    count = 0
-    for bases in per_letter:
-        acc = 0.0
-        for x in bases:
-            acc += x ** tf
-        partial.append(acc)
-        count += len(bases)
-    raw = math.fsum(partial)  # exact rounding of the per-letter sums
+    bases, dmax = _word_bases(tuple(mats), n)
+    raw = 0.0
+    for x in bases:
+        raw += x ** tf
+    count = len(bases)
     slack = _TERM_SLACK + count * 2.0 ** -51
-    if not t_exact:
-        slack += 4.0 * float(t) * math.log(dmax) * 2.0 ** -53
-    # absolute allowance for terms in the subnormal range (the relative
-    # pow guarantee degrades there; each term is still exact to 2**-1070)
+    if Fraction(tf) != t:
+        slack += 4.0 * tf * math.log(dmax) * 2.0 ** -53
     subnormal = count * 2.0 ** -1070
     lo = next_down(raw - raw * slack - subnormal, 2)
     hi = next_up(raw + raw * slack + subnormal, 2)
@@ -484,7 +463,7 @@ def pressure_bounds(system, t: Fraction, n: int):
 
 
 def certify_nonpos(system, t: Fraction, max_depth: int, *,
-                   word_budget: int = 300_000) -> bool:
+                   word_budget: int = WORD_BUDGET) -> bool:
     """True iff some depth n <= max_depth certifies P(t) <= 0 via Z_n <= 1."""
     system = as_system(system)
     t = Fraction(t)
@@ -498,7 +477,7 @@ def certify_nonpos(system, t: Fraction, max_depth: int, *,
 
 
 def certify_nonneg(system, t: Fraction, max_depth: int, *,
-                   word_budget: int = 300_000) -> bool:
+                   word_budget: int = WORD_BUDGET) -> bool:
     """True iff some depth certifies P(t) >= 0 via Z_n >= K**t; a divergent
     partition sum certifies immediately (the pressure is then infinite)."""
     system = as_system(system)
@@ -546,7 +525,7 @@ _UPPER_STARTS = (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fract
 
 
 def dim_interval(system, max_depth: int, tol, *,
-                 word_budget: int = 300_000) -> DimensionInterval:
+                 word_budget: int = WORD_BUDGET) -> DimensionInterval:
     """Certified enclosure of the Bowen root by bisection on t.
 
     The left endpoint always carries a P >= 0 certificate (t = 0 needs

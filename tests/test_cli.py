@@ -152,6 +152,15 @@ def test_threads_flag_identical_output(capsys):
     assert rc1 == rc4 and out1 == out4
 
 
+def test_pressure_depth_is_capped_by_the_word_budget(capsys):
+    # 76 letters: depth 4 would walk 33 million words, the cap is depth 2
+    grid = ("--alphabet", "abs:3..40", "--t-grid", "0.7:0.7:1")
+    rc, out, _ = run(capsys, "pressure", *grid, "--depth", "4")
+    assert rc == 0
+    rc2, out2, _ = run(capsys, "pressure", *grid, "--depth", "2")
+    assert rc2 == 0 and out == out2 and len(out.splitlines()) == 2
+
+
 def test_dim_overflow_exits_numeric_range(capsys):
     # depth-16 word denominators of digits +-10**12 exceed the double range
     big = 10 ** 12
@@ -160,8 +169,8 @@ def test_dim_overflow_exits_numeric_range(capsys):
 
 
 def test_pressure_underflow_exits_numeric_range(capsys):
-    # Z_1 of digits +-10**150 underflows: to 0 in the float lane (t = 2.9)
-    # and below the smallest double in the exact lane (t = 3)
+    # Z_1 of digits +-10**150 underflows to 0 in the float lane, at
+    # fractional (t = 2.9) and integer (t = 3) exponents alike
     huge = 10 ** 150
     for grid in ("2.9:2.9:1", "3:3:1"):
         rc, _, err = run(capsys, "pressure", f"--alphabet=-{huge},{huge}",
@@ -196,9 +205,10 @@ def cli(*argv):
 
 
 def test_bits_is_an_appendix_option():
-    # before the subcommand, argparse takes "64" for the subcommand name
-    rc, out, _ = cli("--bits", "64", "dim", "--alphabet", "-3,3")
+    # before the subcommand the message says where --bits lives
+    rc, out, err = cli("--bits", "64", "dim", "--alphabet", "-3,3")
     assert rc == 2 and out == ""
+    assert "--bits" in err and "appendix" in err
     rc, out, err = cli("dim", "--alphabet", "-3,3", "--bits", "64")
     assert rc == 2 and out == "" and "--bits" in err
 

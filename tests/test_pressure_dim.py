@@ -34,8 +34,12 @@ PM3 = AlphabetSelection.explicit([-3, 3])
 
 def test_partition_single_word_exact():
     # one word [3,3]: q = 1, 3, 10; sup = 1/(10 - 3/2)**2 = 4/289
-    z = partition_sum(S3, 1, 2)
-    assert z.is_point() and z.lo == F(4, 289)
+    from nicfdim.pressure_dim import _letter_matrix, _z_exact
+    ze = _z_exact([_letter_matrix((3,))], 2, F(1), 64)
+    assert ze.is_point() and ze.lo == F(4, 289)
+    z = partition_sum(S3, 1, 2)  # the float lane, rounded outward
+    assert z.lo <= F(4, 289) <= z.hi
+    assert z.width <= F(4, 289) * F(1, 10 ** 9)
     _, sup = norm_bounds(Word([3, 3]))
     assert sup == F(4, 289)
 
@@ -382,7 +386,8 @@ def test_float_lane_contains_exact_lane():
             assert zf.width <= ze.hi * F(1, 10 ** 9)  # still extremely tight
 
 
-_DYADIC_T = [F(k, 16) for k in range(1, 32)]  # every k/8 in (0, 2) as well
+# every k/8 in (0, 2) as well, and the integer upper starts of dim_interval
+_DYADIC_T = [F(k, 16) for k in range(1, 32)] + [F(2), F(3)]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -397,6 +402,51 @@ def test_float_lane_contains_exact_lane_at_dyadic_t(letters, n, t):
     ze = _z_exact(mats, n, t, 96)
     zf = _z_float(mats, n, t)
     assert zf.lo <= ze.lo <= ze.hi <= zf.hi
+
+
+_SIXTEENTHS = st.integers(1, 48).map(lambda k: F(k, 16))  # integers too
+_DIGIT_SELECTIONS = st.one_of(
+    st.lists(st.integers(3, 9).flatmap(lambda m: st.sampled_from((-m, m))),
+             min_size=1, max_size=3, unique=True).map(AlphabetSelection.explicit),
+    st.integers(3, 6).flatmap(lambda lo: st.integers(lo, lo + 2).map(
+        lambda trunc: AlphabetSelection.cofinite(lo, trunc))),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(sel=_DIGIT_SELECTIONS, t=_SIXTEENTHS,
+       depths=st.tuples(st.integers(1, 4), st.integers(1, 4)))
+def test_pressure_brackets_at_two_depths_intersect(sel, t, depths):
+    # both brackets enclose the one pressure P(t)
+    a, b = (pressure_bounds(sel, t, n) for n in depths)
+    if is_divergent(a):
+        assert is_divergent(b) and sel.is_cofinite and t <= F(1, 2)
+        return
+    assert max(a.lo, b.lo) <= min(a.hi, b.hi)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(sel=_DIGIT_SELECTIONS, t=_SIXTEENTHS, depth=st.integers(1, 5))
+def test_sign_certificates_never_both_hold(sel, t, depth):
+    # both need P(t) = 0, where every Z_n >= 1, so Z_n <= 1 would need an
+    # enclosure of width 0 at 1; float-lane sums always have positive width
+    assert not (certify_nonneg(sel, t, depth) and certify_nonpos(sel, t, depth))
+
+
+def test_pressure_path_never_calls_the_exact_lane(monkeypatch):
+    # _z_exact is the test oracle only: integer t runs in the float lane too
+    from nicfdim.spectrum import construct, direct_lambda_comparison
+
+    def no_exact_lane(*args):
+        raise AssertionError("exact word-tree lane on the pressure path")
+
+    monkeypatch.setattr(pressure_dim, "_z_exact", no_exact_lane)
+    dim_interval(PM3, 10, F(1, 50))
+    dim_interval(AlphabetSelection.cofinite(3, 5), 4, F(1, 1000))
+    pressure_bounds(PM3, 1, 4)
+    construct(F(3, 10), "phi_f", 8, 8)
+    rows = direct_lambda_comparison(PM3, AlphabetSelection.cofinite(4, 60), [F(1)])
+    assert [r.t for r in rows] == [1]
 
 
 def test_pressure_path_takes_no_integer_roots(monkeypatch):
