@@ -13,13 +13,15 @@ Subcommands map one-to-one onto library capabilities:
 Exit codes: 0 success, 2 parse errors, 3 indeterminate certification
 (e.g. a dimension tolerance that was not achieved), 4 a numeric-range
 failure (a word denominator or partition sum outside the range of the
-float lane).  ``--threads`` is accepted and has no effect.  ``--bits``
-is an ``appendix`` option only (the precision of the worked examples'
-exact roots, at least 1); ``dim``, ``pressure`` and ``spectrum`` enclose
-the distortion constant K at one fixed precision (``k_interval()``
-takes no argument), so no option sets it.  All numeric CSV fields are
-shortest-round-trip doubles rounded outward from the exact rational
-bounds, so downstream consumers keep two-sided rigor.
+float lane).  ``--threads`` is accepted and has no effect.  ``--depth``,
+``--budget``, ``--count`` and ``--bits`` are checked to be at least 1
+when the arguments are parsed.  ``--bits`` is an ``appendix`` option
+only (the precision of the worked examples' exact roots); ``dim``,
+``pressure`` and ``spectrum`` enclose the distortion constant K at one
+fixed precision (``k_interval()`` takes no argument), so no option sets
+it.  All numeric CSV fields are shortest-round-trip doubles rounded
+outward from the exact rational bounds, so downstream consumers keep
+two-sided rigor.
 """
 
 from __future__ import annotations
@@ -262,14 +264,14 @@ def _cmd_appendix(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _bits(text: str) -> int:
+def _at_least_one(text: str) -> int:
     try:
-        bits = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if bits < 1:
-        raise argparse.ArgumentTypeError(f"needs at least 1 bit, got {bits}")
-    return bits
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1, got {value}")
+    return value
 
 
 class _AppendixOnly(argparse.Action):
@@ -309,35 +311,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="certified dimension interval")
     p.add_argument("--alphabet", required=True)
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=_at_least_one, default=12)
     p.add_argument("--tol", default="0.02")
 
     p = sub.add_parser("pressure", help="pressure curve over a t grid")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--t-grid", required=True, help="start:stop:step")
-    p.add_argument("--depth", type=int, default=8, help="capped at the "
+    p.add_argument("--depth", type=_at_least_one, default=8, help="capped at the "
                    f"deepest with at most {WORD_BUDGET:,} words (default 8)")
     p.add_argument("--csv", help="output path (stdout if omitted)")
 
     p = sub.add_parser("spectrum", help="greedy digit-set construction")
     p.add_argument("--target", required=True)
     p.add_argument("--system", choices=("phi_f", "phi_v"), default="phi_f")
-    p.add_argument("--budget", type=int, default=20)
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--budget", type=_at_least_one, default=20)
+    p.add_argument("--depth", type=_at_least_one, default=10)
 
     p = sub.add_parser("ledger", help="re-verify the case inequalities")
     p.add_argument("--case", choices=case_ids())
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("vertex-letters", help="induced-alphabet ordering")
-    p.add_argument("--count", type=int, default=22)
+    p.add_argument("--count", type=_at_least_one, default=22)
 
     p = sub.add_parser("appendix", help="worked similarity systems")
     p.add_argument("--example", choices=("cycle4", "triangle6"), required=True)
     p.add_argument("--ratio", default="1/3")
     p.add_argument("--t-grid", required=True, help="start:stop:step")
     p.add_argument("--max-len", type=int, default=24)
-    p.add_argument("--bits", type=_bits, default=64,
+    p.add_argument("--bits", type=_at_least_one, default=64,
                    help="precision of the exact roots (default 64)")
     p.add_argument("--csv", help="output path (stdout if omitted)")
     _allow_negative_values(ap)

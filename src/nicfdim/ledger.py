@@ -7,6 +7,11 @@ the right side, "fails" the reverse, and anything undecided escalates
 the tail term count and surd precision until it separates (all margins
 here are bounded away from zero, so escalation terminates).
 
+This module is the one home of each inequality's sides: the letter
+constants of ``spectrum.mme_check`` are ``lemma_2_6_sides`` (phi_f) and
+``phi_v_sides`` (phi_v), whose l-sums are ``plain_tail`` and
+``weighted_tail``; ``mme_check`` only picks the sides and escalates.
+
 Where a displayed constant disagrees with its own derivation, the case
 records both variants instead of guessing: the reduced sufficient
 condition of the digit-sum lemma fails at k = 4 while the lemma itself
@@ -23,12 +28,14 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .cf_core import Word
 from .exactnum import Interval, surd_enclosure, tail_sum_enclosure
 from .nicf_system import (
     HALF,
+    K_GLOBAL,
+    K_PREC5,
     alpha_interval,
     k4_corrected_interval,
     k4_printed_interval,
@@ -61,9 +68,12 @@ class LedgerResult:
     verdict: str
     lhs: Interval             # the tightest decided instance
     rhs: Interval
-    margin: Interval
     sweep: Tuple[SweepRow, ...]
     notes: Tuple[str, ...] = ()
+
+    @property
+    def margin(self) -> Interval:
+        return self.rhs - self.lhs
 
     def row_map(self, variant: str = "main") -> Dict[Tuple[int, ...], str]:
         out = {}
@@ -91,153 +101,28 @@ def _decide(sides: Callable[[int, int], Tuple[Interval, Interval]]
     raise ArithmeticError("comparison undecided at the escalation cap")
 
 
-def _margin(lhs: Interval, rhs: Interval) -> Interval:
-    return rhs - lhs
+def _row(params: Mapping[str, int], lhs: Interval, rhs: Interval,
+         variant: str = "main") -> SweepRow:
+    """The row of one instance of lhs <= rhs: it holds iff lhs.hi <= rhs.lo."""
+    return SweepRow(params, HOLDS if lhs.hi <= rhs.lo else FAILS, rhs - lhs,
+                    variant)
+
+
+def _decreasing(values: Sequence[Fraction]) -> bool:
+    return all(b < a for a, b in zip(values, values[1:]))
+
+
+def _all_hold(rows: Iterable[SweepRow]) -> bool:
+    return all(r.verdict == HOLDS for r in rows)
 
 
 # ---------------------------------------------------------------------------
-# cases
+# inequality sides
 # ---------------------------------------------------------------------------
 
-def lemma_2_6_sides(k: int, terms: int, bits: int) -> Tuple[Interval, Interval]:
-    """(9/4)(k - a)^-2 and (8/9) sum_{j>=k+1} (j + a)^-2, a = (3 - sqrt5)/2:
-    the digit-sum lemma, which is also M_k < 2 sum m_c for phi_f."""
-    a = alpha_interval(bits)
-    return (Fraction(9, 4) * ((k - a) ** 2).reciprocal(),
-            Fraction(8, 9) * tail_sum_enclosure(k + 1, a, 1, terms=terms))
-
-
-def _case_lemma_2_6(k_max: int = 200) -> LedgerResult:
-    rows: List[SweepRow] = []
-    worst: Optional[Tuple[Interval, Interval]] = None
-    any_reduced_fail = False
-    for k in range(4, k_max + 1):
-        v_full, lhs, rhs = _decide(partial(lemma_2_6_sides, k))
-        v_red, lhs_r, rhs_r = _decide(lambda terms, bits: (
-            Fraction(9, 4) * ((k - alpha_interval(bits)) ** 2).reciprocal(),
-            Fraction(8, 9) * (k + 1 + alpha_interval(bits)).reciprocal()))
-        if v_red == FAILS:
-            any_reduced_fail = True
-        row_verdict = v_full if v_full != HOLDS or v_red == HOLDS else EXACT_SUM_ONLY
-        rows.append(SweepRow({"k": k}, row_verdict, _margin(lhs, rhs), "full"))
-        rows.append(SweepRow({"k": k}, v_red, _margin(lhs_r, rhs_r), "reduced"))
-        if v_full == HOLDS and (worst is None or _margin(lhs, rhs).lo < _margin(*worst).lo):
-            worst = (lhs, rhs)
-    full_all = all(r.verdict in (HOLDS, EXACT_SUM_ONLY) for r in rows if r.variant == "full")
-    verdict = (EXACT_SUM_ONLY if full_all and any_reduced_fail
-               else (HOLDS if full_all else FAILS))
-    lhs, rhs = worst
-    return LedgerResult(
-        "lemma_2_6",
-        "(9/4)(k - a)^-2 <= (8/9) sum_{j>=k+1} (j + a)^-2 for k >= 4, "
-        "a = (3 - sqrt5)/2; 'reduced' rows check the one-term sufficient "
-        "condition (9/4)(k - a)^-2 <= (8/9)(k + 1 + a)^-1",
-        verdict, lhs, rhs, _margin(lhs, rhs), tuple(rows),
-        notes=("the reduced sufficient condition fails at k = 4 and holds "
-               "for k >= 5; the full-sum statement holds for every swept k",),
-    )
-
-
-def _case_j_gt_k(j_max: int = 200) -> LedgerResult:
-    rows = []
-    worst = None
-    for j in range(1, j_max + 1):
-        lhs = Interval.point(Fraction(50, 81) * (j + Fraction(3, 2)))
-        rhs = Interval.point(Fraction(2) ** (2 * j + 1))
-        verdict = HOLDS if lhs.hi <= rhs.lo else FAILS
-        rows.append(SweepRow({"j": j}, verdict, _margin(lhs, rhs)))
-        if j == 4:
-            worst = (lhs, rhs)  # the smallest j inside the claim region j > k >= 3
-    verdict = HOLDS if all(r.verdict == HOLDS for r in rows) else FAILS
-    lhs, rhs = worst
-    return LedgerResult(
-        "case_j_gt_k",
-        "(50/81)(j + 3/2) <= 2^(2j+1); needed for run letters with j > k >= 3",
-        verdict, lhs, rhs, _margin(lhs, rhs), tuple(rows),
-    )
-
-
-def _case_j_le_k(k_max: int = 200) -> LedgerResult:
-    rows = []
-    prev = None
-    monotone = True
-    for k in range(3, k_max + 1):
-        val = Fraction(625, 81) * (k + Fraction(5, 2)) / (k - HALF) ** 2
-        if prev is not None and val >= prev:
-            monotone = False
-        prev = val
-        lhs = Interval.point(val)
-        rhs = Interval.point(Fraction(8))  # j = 1 is the binding exponent
-        rows.append(SweepRow({"k": k, "j": 1},
-                             HOLDS if lhs.hi <= rhs.lo else FAILS,
-                             _margin(lhs, rhs)))
-    for j in range(2, 13):
-        lhs = Interval.point(Fraction(625, 81) * (3 + Fraction(5, 2)) / (3 - HALF) ** 2)
-        rhs = Interval.point(Fraction(2) ** (2 * j + 1))
-        rows.append(SweepRow({"k": 3, "j": j},
-                             HOLDS if lhs.hi <= rhs.lo else FAILS,
-                             _margin(lhs, rhs)))
-    verdict = HOLDS if all(r.verdict == HOLDS for r in rows) and monotone else FAILS
-    lhs = Interval.point(Fraction(625, 81) * Fraction(11, 2) / Fraction(25, 4))
-    rhs = Interval.point(Fraction(8))
-    notes = ("left side verified strictly decreasing in k over the sweep",)
-    return LedgerResult(
-        "case_j_le_k",
-        "(25/9)^2 (k + 5/2)(k - 1/2)^-2 <= 2^(2j+1) for 1 <= j <= k, k >= 3",
-        verdict, lhs, rhs, _margin(lhs, rhs), tuple(rows), notes)
-
-
-def _case_esti(k_max: int = 200) -> LedgerResult:
-    rows = []
-    prev = None
-    monotone = True
-    for k in range(3, k_max + 1):
-        val = Fraction(625, 81) * (k + Fraction(3, 2)) / (k - HALF) ** 2
-        if prev is not None and val >= prev:
-            monotone = False
-        prev = val
-        lhs = Interval.point(val)
-        rhs = Interval.point(Fraction(2))
-        rows.append(SweepRow({"k": k},
-                             HOLDS if lhs.hi <= rhs.lo else FAILS,
-                             _margin(lhs, rhs)))
-    pattern_ok = all(
-        (r.verdict == FAILS) == (r.params["k"] <= 5) for r in rows) and monotone
-    lhs6 = Interval.point(Fraction(625, 81) * Fraction(15, 2) / Fraction(121, 4))
-    rhs = Interval.point(Fraction(2))
-    return LedgerResult(
-        "case_esti",
-        "(25/9)^2 (k + 3/2)(k - 1/2)^-2 <= 2; smallest k for which it holds is 6",
-        HOLDS if pattern_ok else FAILS, lhs6, rhs, _margin(lhs6, rhs), tuple(rows),
-        notes=("fails for k <= 5, holds for 6 <= k <= sweep end; left side "
-               "strictly decreasing in k",),
-    )
-
-
-def _case_pm5(k_max: int = 200) -> LedgerResult:
-    rows = []
-    tight = None
-    prev = None
-    monotone = True
-    for k in range(5, k_max + 1):
-        val = Fraction(32, 9) * (k + Fraction(3, 2)) / (k - HALF) ** 2
-        if prev is not None and val >= prev:
-            monotone = False
-        prev = val
-        verdict, lhs, rhs = _decide(lambda terms, bits, v=val: (
-            Interval.point(v), 1 + run_factor_interval(bits)))
-        rows.append(SweepRow({"k": k}, verdict, _margin(lhs, rhs)))
-        if k == 5:
-            tight = (lhs, rhs)
-    verdict = HOLDS if all(r.verdict == HOLDS for r in rows) and monotone else FAILS
-    lhs, rhs = tight
-    return LedgerResult(
-        "case_pm5",
-        "(25/18)(8/5)^2 (k + 3/2)(k - 1/2)^-2 <= "
-        "1 + (1 + sqrt2)/(2 (3/2 + sqrt2)^2) for k >= 5",
-        verdict, lhs, rhs, _margin(lhs, rhs), tuple(rows),
-        notes=("tight at k = 5: the certified margin is below 2e-3",),
-    )
+def plain_tail(m: int, terms: int) -> Interval:
+    """sum_{l >= m} (l + 1/2)**-2, the first ``terms`` terms exact."""
+    return tail_sum_enclosure(m, HALF, 1, terms=terms)
 
 
 def weighted_tail(m: int, num: Tuple[int, int], den: Tuple[int, int],
@@ -251,36 +136,160 @@ def weighted_tail(m: int, num: Tuple[int, int], den: Tuple[int, int],
         lo += w
         hi += w
     cut = m + terms
-    t = tail_sum_enclosure(cut, HALF, 1, terms=0)
+    t = plain_tail(cut, 0)
     w_hi = Fraction(num[0] * cut + num[1], den[0] * cut + den[1]) ** 2
     w_lo = Fraction(num[0], den[0]) ** 2
     return Interval(lo + w_lo * t.lo, hi + w_hi * t.hi)
 
 
-def _case_pm4() -> LedgerResult:
-    def sides(norm, weights):
-        def make(terms, bits):
-            terms = max(terms, 64)
-            a_sum = weighted_tail(5, weights[0], weights[1], terms)
-            b_sum = Fraction(18, 25) * run_factor_interval(bits) * tail_sum_enclosure(
-                3, HALF, 1, terms=terms)
-            return k_prec4_interval(bits) * norm, 2 * a_sum + b_sum
-        return make
+def lemma_2_6_sides(k: int, terms: int, bits: int) -> Tuple[Interval, Interval]:
+    """(9/4)(k - a)^-2 and (8/9) sum_{j>=k+1} (j + a)^-2, a = (3 - sqrt5)/2:
+    the digit-sum lemma, which is also M_k < 2 sum m_c for phi_f."""
+    a = alpha_interval(bits)
+    return (Fraction(9, 4) * ((k - a) ** 2).reciprocal(),
+            Fraction(8, 9) * tail_sum_enclosure(k + 1, a, 1, terms=terms))
 
-    # derivation constants: M_4 = K_{prec 4} * ||phi_4'|| with weights (3l+5)/(5l+7)
-    v_main, lhs, rhs_iv = _decide(sides(Fraction(4, 49), ((3, 5), (5, 7))))
-    rows = [SweepRow({"k": 4}, v_main, _margin(lhs, rhs_iv), "main")]
-    # printed final display: squared norm on the left, weights (3l+2)/(5l+2)
-    v_printed, lhs_p, rhs_p = _decide(
-        sides(Fraction(4, 49) ** 2, ((3, 2), (5, 2))))
-    rows.append(SweepRow({"k": 4}, v_printed, _margin(lhs_p, rhs_p), "printed"))
-    verdict = HOLDS if v_main == HOLDS else FAILS
+
+def phi_v_sides(j: int, k: int, terms: int, bits: int) -> Tuple[Interval, Interval]:
+    """M_b and 2 * the successor m-sum for the phi_v loop letter b = 2^j k
+    (either sign; j = 0 is the plain digit k >= 4)."""
+    if j > 0 or k >= 6:
+        # b precedes +-l from l = j+1 (j > k), k+2 (1 <= j <= k) or k+1 (j = 0)
+        first = j + 1 if j > k else (k + 2 if j else k + 1)
+        return (Interval.point(K_GLOBAL * Fraction(1, 4) ** j / (k - HALF) ** 2),
+                Fraction(18, 25) * plain_tail(first, terms))
+    g = run_factor_interval(bits)
+    if k == 5:
+        # sharper distortion over the preceding letters, and the run
+        # letters 2^r l with l >= 6 join the successor sum
+        return (Interval.point(K_PREC5 / (k - HALF) ** 2),
+                Fraction(18, 25) * (1 + g) * plain_tail(6, terms))
+    if k != 4:
+        raise ValueError("phi_v letter constants need k >= 4 when j = 0")
+    # M_4 = K_{prec 4} * ||phi_4'||, the run weights (3l+5)/(5l+7)
+    return (k_prec4_interval(bits) * Fraction(4, 49),
+            2 * weighted_tail(5, (3, 5), (5, 7), terms)
+            + Fraction(18, 25) * g * plain_tail(3, terms))
+
+
+# ---------------------------------------------------------------------------
+# cases
+# ---------------------------------------------------------------------------
+
+def _case_lemma_2_6(k_max: int = 200) -> LedgerResult:
+    rows: List[SweepRow] = []
+    held: List[Tuple[Interval, Interval]] = []
+    any_reduced_fail = False
+    for k in range(4, k_max + 1):
+        v_full, lhs, rhs = _decide(partial(lemma_2_6_sides, k))
+        v_red, lhs_r, rhs_r = _decide(lambda terms, bits: (
+            Fraction(9, 4) * ((k - alpha_interval(bits)) ** 2).reciprocal(),
+            Fraction(8, 9) * (k + 1 + alpha_interval(bits)).reciprocal()))
+        if v_red == FAILS:
+            any_reduced_fail = True
+        row_verdict = v_full if v_full != HOLDS or v_red == HOLDS else EXACT_SUM_ONLY
+        rows.append(SweepRow({"k": k}, row_verdict, rhs - lhs, "full"))
+        rows.append(_row({"k": k}, lhs_r, rhs_r, "reduced"))
+        if v_full == HOLDS:
+            held.append((lhs, rhs))
+    full_all = all(r.verdict in (HOLDS, EXACT_SUM_ONLY) for r in rows if r.variant == "full")
+    verdict = (EXACT_SUM_ONLY if full_all and any_reduced_fail
+               else (HOLDS if full_all else FAILS))
+    lhs, rhs = min(held, key=lambda sides: (sides[1] - sides[0]).lo)
+    return LedgerResult(
+        "lemma_2_6",
+        "(9/4)(k - a)^-2 <= (8/9) sum_{j>=k+1} (j + a)^-2 for k >= 4, "
+        "a = (3 - sqrt5)/2; 'reduced' rows check the one-term sufficient "
+        "condition (9/4)(k - a)^-2 <= (8/9)(k + 1 + a)^-1",
+        verdict, lhs, rhs, tuple(rows),
+        notes=("the reduced sufficient condition fails at k = 4 and holds "
+               "for k >= 5; the full-sum statement holds for every swept k",),
+    )
+
+
+def _case_j_gt_k(j_max: int = 200) -> LedgerResult:
+    def sides(j):
+        return (Interval.point(Fraction(50, 81) * (j + Fraction(3, 2))),
+                Interval.point(Fraction(2) ** (2 * j + 1)))
+
+    rows = [_row({"j": j}, *sides(j)) for j in range(1, j_max + 1)]
+    lhs, rhs = sides(4)  # the smallest j inside the claim region j > k >= 3
+    return LedgerResult(
+        "case_j_gt_k",
+        "(50/81)(j + 3/2) <= 2^(2j+1); needed for run letters with j > k >= 3",
+        HOLDS if _all_hold(rows) else FAILS, lhs, rhs, tuple(rows),
+    )
+
+
+def _case_j_le_k(k_max: int = 200) -> LedgerResult:
+    ks = range(3, k_max + 1)
+    vals = [Fraction(625, 81) * (k + Fraction(5, 2)) / (k - HALF) ** 2 for k in ks]
+    lhs = Interval.point(vals[0])  # k = 3
+    rhs = Interval.point(Fraction(8))  # j = 1 is the binding exponent
+    rows = [_row({"k": k, "j": 1}, Interval.point(v), rhs) for k, v in zip(ks, vals)]
+    rows += [_row({"k": 3, "j": j}, lhs, Interval.point(Fraction(2) ** (2 * j + 1)))
+             for j in range(2, 13)]
+    verdict = HOLDS if _all_hold(rows) and _decreasing(vals) else FAILS
+    notes = ("left side verified strictly decreasing in k over the sweep",)
+    return LedgerResult(
+        "case_j_le_k",
+        "(25/9)^2 (k + 5/2)(k - 1/2)^-2 <= 2^(2j+1) for 1 <= j <= k, k >= 3",
+        verdict, lhs, rhs, tuple(rows), notes)
+
+
+def _case_esti(k_max: int = 200) -> LedgerResult:
+    ks = range(3, k_max + 1)
+    vals = [Fraction(625, 81) * (k + Fraction(3, 2)) / (k - HALF) ** 2 for k in ks]
+    rhs = Interval.point(Fraction(2))
+    rows = [_row({"k": k}, Interval.point(v), rhs) for k, v in zip(ks, vals)]
+    pattern_ok = all(
+        (r.verdict == FAILS) == (r.params["k"] <= 5) for r in rows) and _decreasing(vals)
+    lhs6 = Interval.point(vals[6 - 3])  # k = 6
+    return LedgerResult(
+        "case_esti",
+        "(25/9)^2 (k + 3/2)(k - 1/2)^-2 <= 2; smallest k for which it holds is 6",
+        HOLDS if pattern_ok else FAILS, lhs6, rhs, tuple(rows),
+        notes=("fails for k <= 5, holds for 6 <= k <= sweep end; left side "
+               "strictly decreasing in k",),
+    )
+
+
+def _case_pm5(k_max: int = 200) -> LedgerResult:
+    ks = range(5, k_max + 1)
+    vals = [Fraction(32, 9) * (k + Fraction(3, 2)) / (k - HALF) ** 2 for k in ks]
+    sides = [_decide(lambda terms, bits, v=v: (
+        Interval.point(v), 1 + run_factor_interval(bits)))[1:] for v in vals]
+    rows = [_row({"k": k}, lhs, rhs) for k, (lhs, rhs) in zip(ks, sides)]
+    lhs, rhs = sides[0]  # k = 5
+    return LedgerResult(
+        "case_pm5",
+        "(25/18)(8/5)^2 (k + 3/2)(k - 1/2)^-2 <= "
+        "1 + (1 + sqrt2)/(2 (3/2 + sqrt2)^2) for k >= 5",
+        HOLDS if _all_hold(rows) and _decreasing(vals) else FAILS,
+        lhs, rhs, tuple(rows),
+        notes=("tight at k = 5: the certified margin is below 2e-3",),
+    )
+
+
+def _case_pm4() -> LedgerResult:
+    def printed(terms, bits):
+        # the printed final display: squared norm on the left, weights
+        # (3l+2)/(5l+2)
+        terms = max(terms, 64)
+        return (k_prec4_interval(bits) * Fraction(4, 49) ** 2,
+                2 * weighted_tail(5, (3, 2), (5, 2), terms)
+                + Fraction(18, 25) * run_factor_interval(bits) * plain_tail(3, terms))
+
+    # derivation constants: the phi_v letter constants of the digit 4
+    v_main, lhs, rhs = _decide(
+        lambda terms, bits: phi_v_sides(0, 4, max(terms, 64), bits))
+    rows = (_row({"k": 4}, lhs, rhs), _row({"k": 4}, *_decide(printed)[1:], "printed"))
     return LedgerResult(
         "case_pm4",
         "((7-sqrt5)/(1+sqrt5))^2 (4/49) <= 2 sum_{l>=5} ((3l+5)/(5l+7))^2 "
         "(l+1/2)^-2 + (18/25) g sum_{l>=3} (l+1/2)^-2, "
         "g = (1+sqrt2)/(2(3/2+sqrt2)^2)",
-        verdict, lhs, rhs_iv, _margin(lhs, rhs_iv), tuple(rows),
+        v_main, lhs, rhs, rows,
         notes=(
             "the printed final display squares the norm factor (4/49) and "
             "uses weights (3l+2)/(5l+2); certified as the 'printed' variant, "
@@ -292,22 +301,18 @@ def _case_pm4() -> LedgerResult:
 
 
 def _case_letter3() -> LedgerResult:
-    rhs_iv = Interval.point(Fraction(25, 49))
-    v_printed, lhs_p, _ = _decide(lambda terms, bits: (
-        Fraction(2, 7) * k4_printed_interval(bits), rhs_iv))
-    v_corr, lhs_c, _ = _decide(lambda terms, bits: (
-        Fraction(2, 7) * k4_corrected_interval(bits), rhs_iv))
-    rows = (
-        SweepRow({}, v_printed, _margin(lhs_p, rhs_iv), "printed"),
-        SweepRow({}, v_corr, _margin(lhs_c, rhs_iv), "corrected"),
-    )
-    verdict = HOLDS if v_printed == HOLDS and v_corr == HOLDS else FAILS
+    rhs = Interval.point(Fraction(25, 49))
+    _, lhs_p, _ = _decide(lambda terms, bits: (
+        Fraction(2, 7) * k4_printed_interval(bits), rhs))
+    _, lhs_c, _ = _decide(lambda terms, bits: (
+        Fraction(2, 7) * k4_corrected_interval(bits), rhs))
+    rows = (_row({}, lhs_p, rhs, "printed"), _row({}, lhs_c, rhs, "corrected"))
     return LedgerResult(
         "case_letter3",
         "(5/7)^2 >= (2/7) K_4 with K_4 = ((4-sqrt3)/(1+sqrt3))^2 as printed; "
         "the 'corrected' variant uses ((4-sqrt3)/sqrt3)^2, the value the "
         "derivation of the distortion constant actually yields",
-        verdict, lhs_c, rhs_iv, _margin(lhs_c, rhs_iv), rows,
+        HOLDS if _all_hold(rows) else FAILS, lhs_c, rhs, rows,
         notes=("the printed simplification is below 1 and so cannot be a "
                "distortion constant; the chain holds with either value",),
     )
@@ -325,24 +330,19 @@ def _case_q_growth(r_max: int = 200) -> LedgerResult:
     for r in range(1, r_max + 1):
         q_prev, q = q, 2 * q + q_prev
         pw = pw * one_plus
-        upper_ok = Fraction(q) <= pw.lo
-        lower_ok = 1 <= q
-        inf_rhs = factor * (pw / one_plus)  # (3/2 + sqrt2)(1 + sqrt2)**(r-1)
-        inf_ok = q + Fraction(q_prev, 2) <= inf_rhs.lo
-        verdict = HOLDS if (upper_ok and lower_ok and inf_ok) else FAILS
-        margin = Interval(inf_rhs.lo - (q + Fraction(q_prev, 2)),
-                          inf_rhs.hi - (q + Fraction(q_prev, 2)))
-        rows.append(SweepRow({"r": r}, verdict, margin))
+        lhs = Interval.point(q + Fraction(q_prev, 2))
+        rhs = factor * (pw / one_plus)  # (3/2 + sqrt2)(1 + sqrt2)**(r-1)
+        ok = 1 <= q <= pw.lo and lhs.hi <= rhs.lo
+        rows.append(SweepRow({"r": r}, HOLDS if ok else FAILS, rhs - lhs))
         if r == 1:
-            tight = (Interval.point(q + Fraction(q_prev, 2)), inf_rhs)
-    verdict = HOLDS if all(r.verdict == HOLDS for r in rows) else FAILS
+            tight = (lhs, rhs)
     lhs, rhs = tight
     return LedgerResult(
         "q_growth",
         "for the run word 2^r: 1 <= q_n <= (1+sqrt2)^n, and "
         "q_r + q_(r-1)/2 <= (3/2+sqrt2)(1+sqrt2)^(r-1), so "
         "inf |phi'| >= [(3/2+sqrt2)(1+sqrt2)^(r-1)]^-2",
-        verdict, lhs, rhs, _margin(lhs, rhs), tuple(rows),
+        HOLDS if _all_hold(rows) else FAILS, lhs, rhs, tuple(rows),
     )
 
 
@@ -351,22 +351,18 @@ def _case_lem_2s(k_max: int = 200) -> LedgerResult:
     tight = None
     for k in range(1, k_max + 1):
         for sign in (1, -1):
-            digits = [3 * sign] + [2 * sign] * k + [3 * sign]
-            w = Word(digits)
-            ratio = w.q_ratio()
-            bound = Fraction(k + 2, 2 * k + 5)
-            verdict = HOLDS if ratio <= bound else FAILS
-            rows.append(SweepRow({"k": k, "sign": sign}, verdict,
-                                 Interval.point(bound - ratio)))
+            w = Word([3 * sign] + [2 * sign] * k + [3 * sign])
+            lhs = Interval.point(w.q_ratio())
+            rhs = Interval.point(Fraction(k + 2, 2 * k + 5))
+            rows.append(_row({"k": k, "sign": sign}, lhs, rhs))
             if k == 1 and sign == 1:
-                tight = (Interval.point(ratio), Interval.point(bound))
-    verdict = HOLDS if all(r.verdict == HOLDS for r in rows) else FAILS
+                tight = (lhs, rhs)
     lhs, rhs = tight
     return LedgerResult(
         "lem_2s_table",
         "words ... m 2^k m' with |m|, |m'| >= 3 have |q_(n-1)/q_n| <= "
         "(k+2)/(2k+5); checked on the canonical two-sided family",
-        verdict, lhs, rhs, _margin(lhs, rhs), tuple(rows),
+        HOLDS if _all_hold(rows) else FAILS, lhs, rhs, tuple(rows),
     )
 
 

@@ -610,22 +610,22 @@ def finiteness_exponent(system) -> FinitenessExponent:
 
 _NATURE_GRID = (Fraction(9, 16), Fraction(5, 8), Fraction(3, 4), Fraction(7, 8),
                 Fraction(1, 4), Fraction(1, 2), Fraction(1, 8))
+_NATURE_DEPTH = 6
 
 
-def classify_nature(system, depth: int = 6,
-                    t_samples: Optional[Sequence[Fraction]] = None,
-                    *, word_budget: int = 200_000) -> str:
+def classify_nature(system, *,
+                    t_samples: Optional[Sequence[Fraction]] = None) -> str:
     """Certified regularity classification; 'indeterminate' when the
     sampled certificates decide nothing."""
     system = as_system(system)
-    theta = finiteness_exponent(system).theta
+    theta = system.theta
     if not system.infinite_alphabet:
         if system.letter_count >= 2:
             return "strongly regular"  # 0 < P(0) = log(count) < inf, exactly
         return "critically regular"    # singleton: P(theta) = P(0) = 0
     samples = list(t_samples) if t_samples is not None else [
         t for t in _NATURE_GRID if t > theta]
-    ladder = system.ladder(depth, word_budget)
+    ladder = system.ladder(_NATURE_DEPTH, WORD_BUDGET)
     for t in samples:
         for n in ladder:
             pb = pressure_bounds(system, Fraction(t), n)

@@ -6,8 +6,11 @@ M_b < 2 * sum of m_c over the letters c following b in the ordering,
 where m/M are the letter constants making
 m_b ||phi'_{w w'}|| <= ||phi'_{w b w'}|| <= M_b ||phi'_{w w'}||.
 ``mme_check`` certifies exactly that sum inequality with enclosed
-margins; the first letters (+-3), where the criterion has no room, are
-handled by ``direct_lambda_comparison`` instead.
+margins.  It states no side of its own: it picks the ledger's sides for
+the letter (``ledger.lemma_2_6_sides`` for phi_f, ``ledger.phi_v_sides``
+for phi_v) and escalates their precision.  The first letters (+-3),
+where the criterion has no room, are handled by
+``direct_lambda_comparison`` instead.
 
 ``construct`` runs the greedy sweep: walk the ordering, tentatively add
 each letter, keep it only when the tentative set's pressure at the
@@ -24,25 +27,17 @@ from fractions import Fraction
 from functools import partial
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .exactnum import Interval, float_down, float_up, tail_sum_enclosure
-from .ledger import lemma_2_6_sides, weighted_tail
-from .nicf_system import (
-    HALF,
-    K_GLOBAL,
-    K_PREC5,
-    LoopLetter,
-    k_prec4_interval,
-    run_factor_interval,
-    vertex_alphabet,
-)
+from .exactnum import Interval, float_down, float_up
+from .ledger import lemma_2_6_sides, phi_v_sides
+from .nicf_system import LoopLetter, vertex_alphabet
 from .pressure_dim import (
+    WORD_BUDGET,
     DigitIfs,
     DimensionInterval,
     LoopIfs,
     as_system,
     certify_nonpos,
     dim_interval,
-    finiteness_exponent,
     is_divergent,
     partition_sum,
     pressure_bounds,
@@ -67,37 +62,6 @@ class MmeVerdict:
         return self.rhs - self.lhs
 
 
-def _plain_tail(m: int, terms: int) -> Interval:
-    """sum_{l >= m} (l + 1/2)**(-2) = tail over j >= m of (j + 1/2)**(-2)."""
-    return tail_sum_enclosure(m, HALF, 1, terms=terms)
-
-
-def _phi_v_sides(j: int, k: int, terms: int, bits: int) -> Tuple[Interval, Interval]:
-    """M_b and 2 * the successor m-sum for the loop letter 2^j k (either sign)."""
-    if j > k:
-        # run letters 2^j k with j > k precede +-l for l >= j+1
-        lhs = Interval.point(K_GLOBAL * Fraction(1, 4) ** j / (k - HALF) ** 2)
-        return lhs, Fraction(18, 25) * _plain_tail(j + 1, terms)
-    if j >= 1:
-        # run letters with 1 <= j <= k precede +-l for l >= k+2
-        lhs = Interval.point(K_GLOBAL * Fraction(1, 4) ** j / (k - HALF) ** 2)
-        return lhs, Fraction(18, 25) * _plain_tail(k + 2, terms)
-    if k >= 6:
-        # plain letters k >= 6 precede +-l for l >= k+1
-        lhs = Interval.point(K_GLOBAL / (k - HALF) ** 2)
-        return lhs, Fraction(18, 25) * _plain_tail(k + 1, terms)
-    g = run_factor_interval(bits)
-    if k == 5:
-        # sharper distortion over the preceding letters, and the run
-        # letters 2^r l with l >= 6 join the successor sum
-        lhs = Interval.point(K_PREC5 / (k - HALF) ** 2)
-        return lhs, Fraction(18, 25) * (1 + g) * _plain_tail(6, terms)
-    # k == 4
-    return (k_prec4_interval(bits) * Fraction(4, 49),
-            2 * weighted_tail(5, (3, 5), (5, 7), terms)
-            + Fraction(18, 25) * g * _plain_tail(3, terms))
-
-
 _ESCALATION = ((4, 128), (8, 128), (16, 128), (32, 256), (64, 256), (128, 512))
 
 
@@ -106,7 +70,8 @@ def mme_check(b: Union[int, LoopLetter], system: str) -> MmeVerdict:
 
     ``system`` is 'phi_f' (restricted digits, natural order; the sides
     are those of the digit-sum lemma, ``ledger.lemma_2_6_sides``) or
-    'phi_v' (the induced vertex alphabet in block order).  Letters +-3 of
+    'phi_v' (the induced vertex alphabet in block order; the sides are
+    ``ledger.phi_v_sides``).  Letters +-3 of
     either system return the direct-comparison signal instead of a
     verdict.  Each step of ``_ESCALATION`` sets the tail terms and surd
     bits; the first step whose sides separate strictly decides.
@@ -126,7 +91,7 @@ def mme_check(b: Union[int, LoopLetter], system: str) -> MmeVerdict:
         sides = partial(lemma_2_6_sides, k)
     else:
         j, k = (0, abs(b)) if isinstance(b, int) else (b.j, b.k)
-        sides = partial(_phi_v_sides, j, k)
+        sides = partial(phi_v_sides, j, k)
 
     if j == 0 and k == 3:
         return MmeVerdict(str(b), None, None, None, DIRECT_COMPARISON)
@@ -153,8 +118,7 @@ class ComparisonRow:
 
 
 def direct_lambda_comparison(f_small, f_large, t_grid: Sequence[Fraction], *,
-                             depth: int = 8,
-                             word_budget: int = 200_000) -> List[ComparisonRow]:
+                             depth: int = 8) -> List[ComparisonRow]:
     """Certify lambda_{F_small}(t) <= lambda_{F_large}(t) per grid point.
 
     Auto-pass where the large side diverges (t at or below its finiteness
@@ -164,11 +128,10 @@ def direct_lambda_comparison(f_small, f_large, t_grid: Sequence[Fraction], *,
     """
     small = as_system(f_small)
     large = as_system(f_large)
-    theta_large = finiteness_exponent(large).theta
     rows: List[ComparisonRow] = []
     for t_raw in t_grid:
         t = Fraction(t_raw)
-        if t <= theta_large:
+        if t <= large.theta:
             rows.append(ComparisonRow(t, "pass", "divergence"))
             continue
         if small == large:
@@ -184,20 +147,20 @@ def direct_lambda_comparison(f_small, f_large, t_grid: Sequence[Fraction], *,
                     row = ComparisonRow(t, "pass", "z1-chain",
                                         float_up(z1s.hi), float_down(rhs.lo))
         if row is None:
-            row = _pressure_comparison(small, large, t, depth, word_budget)
+            row = _pressure_comparison(small, large, t, depth)
         rows.append(row)
     return rows
 
 
-def _pressure_comparison(small, large, t, depth, word_budget) -> ComparisonRow:
+def _pressure_comparison(small, large, t, depth) -> ComparisonRow:
     best_hi = None
-    for n in small.ladder(depth, word_budget):
+    for n in small.ladder(depth, WORD_BUDGET):
         pb = pressure_bounds(small, t, n)
         if is_divergent(pb):
             return ComparisonRow(t, "indeterminate", "pressure")
         best_hi = pb.hi if best_hi is None else min(best_hi, pb.hi)
     best_lo = None
-    for n in large.ladder(depth, word_budget):
+    for n in large.ladder(depth, WORD_BUDGET):
         pb = pressure_bounds(large, t, n)
         if is_divergent(pb):
             return ComparisonRow(t, "pass", "divergence")
@@ -261,9 +224,13 @@ def phi_f_ordering(budget: int) -> List[int]:
     return out
 
 
-def construct(target, system: str, budget: int, depth: int, *,
-              achieved_tol=Fraction(1, 100),
-              word_budget: int = 150_000) -> SpectrumTrace:
+# 300,000 words would give 4- and 6-letter tentative sets one more, and the
+# costliest, ladder depth (for 4 letters, 4**9 = 262,144 words)
+_CONSTRUCT_WORD_BUDGET = 150_000
+_ACHIEVED_TOL = Fraction(1, 100)
+
+
+def construct(target, system: str, budget: int, depth: int) -> SpectrumTrace:
     """Greedy sweep over the ordering, keeping a letter only when the
     tentative set's dimension is certified <= target.
 
@@ -298,13 +265,13 @@ def construct(target, system: str, budget: int, depth: int, *,
     for letter in ordering:
         tentative = accepted + [letter]
         ok = certify_nonpos(make(tentative), target, depth,
-                            word_budget=word_budget)
+                            word_budget=_CONSTRUCT_WORD_BUDGET)
         if ok:
             accepted = tentative
         decisions.append(Decision(str(letter), ok, Fraction(0), target))
 
-    achieved = dim_interval(make(accepted), depth, achieved_tol,
-                            word_budget=word_budget)
+    achieved = dim_interval(make(accepted), depth, _ACHIEVED_TOL,
+                            word_budget=_CONSTRUCT_WORD_BUDGET)
     # the final set is the last accepted tentative set, whose P(target) <= 0
     # certificate already bounds its dimension by the target
     achieved = replace(achieved, hi=min(achieved.hi, target))

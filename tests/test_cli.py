@@ -221,6 +221,22 @@ def test_appendix_bits_below_one_rejected(bits):
     assert "argument --bits" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("argv, option", [
+    (("dim", "--alphabet=-3,3"), "--depth"),
+    (("pressure", "--alphabet=-3,3", "--t-grid", "0:1:1"), "--depth"),
+    (("spectrum", "--target", "0.3"), "--budget"),
+    (("spectrum", "--target", "0.3"), "--depth"),
+    (("vertex-letters",), "--count"),
+    (("appendix", "--example", "cycle4", "--t-grid", "0:1:1"), "--bits"),
+])
+def test_integer_options_below_one_rejected(argv, option, value):
+    # checked when the arguments are parsed, so the message names the option
+    rc, out, err = cli(*argv, option, value)
+    assert rc == 2 and out == ""
+    assert f"argument {option}: " in err
+
+
 def _appendix_rows(bits):
     rc, out, _ = cli("appendix", "--example", "cycle4", "--bits", bits,
                      "--t-grid", "0.125:0.375:0.125")

@@ -120,6 +120,23 @@ def test_monotonicity_in_alphabet():
     assert small.lo <= big.hi
 
 
+_NESTED_ALPHABETS = st.lists(
+    st.sampled_from([s * k for k in range(3, 13) for s in (-1, 1)]),
+    min_size=1, max_size=6, unique=True,
+).flatmap(lambda big: st.tuples(
+    st.lists(st.sampled_from(big), min_size=1, max_size=len(big), unique=True),
+    st.just(big)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(alphabets=_NESTED_ALPHABETS, depth=st.integers(2, 6))
+def test_dim_interval_monotone_under_alphabet_inclusion(alphabets, depth):
+    # F inside G gives dim F <= dim G, so the enclosures cannot separate
+    small, big = (AlphabetSelection.explicit(a) for a in alphabets)
+    lo = dim_interval(small, depth, F(1, 16), word_budget=4096).lo
+    assert lo <= dim_interval(big, depth, F(1, 16), word_budget=4096).hi
+
+
 def test_dim_singleton():
     di = dim_interval(S3, 8, F(1, 10 ** 6))
     assert di.lo == 0 and di.hi <= F(1, 10 ** 6)

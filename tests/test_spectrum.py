@@ -4,7 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from nicfdim.nicf_system import LoopLetter
+from nicfdim.exactnum import Interval
+from nicfdim.ledger import phi_v_sides, run_case
+from nicfdim.nicf_system import K_GLOBAL, LoopLetter
 from nicfdim.pressure_dim import DigitIfs, LoopIfs, vertex_system
 from nicfdim.spectrum import (
     DIRECT_COMPARISON,
@@ -46,6 +48,23 @@ def test_mme_phi_v_runs():
         assert v.margin.lo > 0
     # negative-sign letters behave identically by symmetry
     assert mme_check(LoopLetter(-1, 2, 4), "phi_v").passes is True
+
+
+def test_mme_check_decides_the_ledger_sides():
+    # the ledger states the phi_v letter constants once; case_pm4 and
+    # mme_check decide the same sides at their first escalation step
+    pm4 = run_case("case_pm4")
+    assert (pm4.lhs, pm4.rhs) == phi_v_sides(0, 4, 64, 128)
+    v = mme_check(4, "phi_v")
+    assert (v.lhs, v.rhs) == phi_v_sides(0, 4, 4, 128)
+    for j in range(13):
+        for k in range(6, 12):
+            lhs = mme_check(LoopLetter(1, j, k), "phi_v").lhs
+            assert lhs == Interval.point(K_GLOBAL * F(1, 4) ** j / (k - F(1, 2)) ** 2)
+    # +-1 and +-2 are no phi_v letters; they used to get the digit 4's sides
+    for b in (2, -1):
+        with pytest.raises(ValueError):
+            mme_check(b, "phi_v")
 
 
 def test_direct_comparison_grid():
