@@ -14,8 +14,10 @@ Exit codes: 0 success, 2 parse errors, 3 indeterminate certification
 (e.g. a dimension tolerance that was not achieved), 4 a numeric-range
 failure (a word denominator or partition sum outside the range of the
 float lane).  ``--threads`` is accepted and has no effect.  ``--depth``,
-``--budget``, ``--count`` and ``--bits`` are checked to be at least 1
-when the arguments are parsed.  ``--bits`` is an ``appendix`` option
+``--budget``, ``--count``, ``--bits``, ``--max-len`` and ``--digits``
+are checked to be at least 1 when the arguments are parsed.  Alphabet
+specs are parsed for syntax only; the alphabet rules are
+``AlphabetSelection``'s.  ``--bits`` is an ``appendix`` option
 only (the precision of the worked examples' exact roots); ``dim``,
 ``pressure`` and ``spectrum`` enclose the distortion constant K at one
 fixed precision (``k_interval()`` takes no argument), so no option sets
@@ -63,10 +65,19 @@ class SpecParseError(ValueError):
         self.offset = offset
 
 
+# range form -> (separator, usage, AlphabetSelection constructor)
+_RANGE_FORMS = {
+    "abs": ("..", "abs:LO..HI", "abs_range"),
+    "absmin": (":", "absmin:LO:TRUNC", "cofinite"),
+}
+
+
 def parse_alphabet_spec(text: str) -> AlphabetSelection:
     """Grammar: spec := item ("," item)*
     item := INT | "abs:" INT ".." INT | "absmin:" INT ":" INT
-    Whitespace is ignored; INT may be negative only in the bare form."""
+    Whitespace is ignored; INT may be negative only in the bare form.
+    Only the syntax is checked here; the alphabet rules are
+    ``AlphabetSelection``'s, and their errors are reported at byte 0."""
     stripped = "".join(text.split())
     if not stripped:
         raise SpecParseError("empty spec", 0)
@@ -81,36 +92,21 @@ def parse_alphabet_spec(text: str) -> AlphabetSelection:
         raise SpecParseError(msg, offsets[i])
 
     if len(items) == 1 and items[0].startswith(("abs:", "absmin:")):
-        item = items[0]
-        if item.startswith("abs:"):
-            body = item[4:]
-            if ".." not in body:
-                fail(0, "expected abs:LO..HI")
-            lo_s, hi_s = body.split("..", 1)
-            lo, hi = _int_or_fail(lo_s, 0, fail), _int_or_fail(hi_s, 0, fail)
-            if lo < 3:
-                fail(0, "digits |b| >= 3 required for Phi_F")
-            if hi < lo:
-                fail(0, "empty range")
-            return AlphabetSelection.abs_range(lo, hi)
-        body = item[len("absmin:"):]
-        if ":" not in body:
-            fail(0, "expected absmin:LO:TRUNC")
-        lo_s, tr_s = body.split(":", 1)
-        lo, tr = _int_or_fail(lo_s, 0, fail), _int_or_fail(tr_s, 0, fail)
-        if lo < 3:
-            fail(0, "digits |b| >= 3 required for Phi_F")
-        if tr < lo:
-            fail(0, "truncation below the lower bound")
-        return AlphabetSelection.cofinite(lo, tr)
-
-    letters: List[int] = []
-    for i, item in enumerate(items):
-        if item.startswith(("abs:", "absmin:")):
-            fail(i, "range forms cannot be mixed with explicit digits")
-        letters.append(_int_or_fail(item, i, fail))
+        form, body = items[0].split(":", 1)
+        sep, usage, kind = _RANGE_FORMS[form]
+        if sep not in body:
+            fail(0, f"expected {usage}")
+        make = getattr(AlphabetSelection, kind)
+        args = [_int_or_fail(s, 0, fail) for s in body.split(sep, 1)]
+    else:
+        letters: List[int] = []
+        for i, item in enumerate(items):
+            if item.startswith(("abs:", "absmin:")):
+                fail(i, "range forms cannot be mixed with explicit digits")
+            letters.append(_int_or_fail(item, i, fail))
+        make, args = AlphabetSelection.explicit, [letters]
     try:
-        return AlphabetSelection.explicit(letters)
+        return make(*args)
     except ValueError as exc:
         raise SpecParseError(str(exc), 0)
 
@@ -147,6 +143,18 @@ def _parse_t_grid(spec: str) -> List[Fraction]:
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
+
+def _write_csv(rows: List[str], path: Optional[str]) -> int:
+    """Header plus data rows to ``path``, or to stdout when it is None."""
+    text = "\n".join(rows) + "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+        print(f"wrote {len(rows) - 1} rows to {path}")
+    else:
+        sys.stdout.write(text)
+    return 0
+
 
 def _cmd_nicf(args) -> int:
     if args.nicf_cmd == "expand":
@@ -192,14 +200,7 @@ def _cmd_pressure(args) -> int:
             rows.append(f"{float(t)!r},inf,inf")
         else:
             rows.append(f"{float(t)!r},{_out_lo(pb.lo)!r},{_out_hi(pb.hi)!r}")
-    text = "\n".join(rows) + "\n"
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(text)
-        print(f"wrote {len(grid)} rows to {args.csv}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_csv(rows, args.csv)
 
 
 def _cmd_spectrum(args) -> int:
@@ -250,14 +251,7 @@ def _cmd_appendix(args) -> int:
             rows.append(
                 f"{float(t)!r},{v},{_out_lo(closed.lo)!r},{_out_hi(closed.hi)!r},"
                 f"{_out_lo(enc.lo)!r},{_out_hi(enc.hi)!r},{int(consistent)}")
-    text = "\n".join(rows) + "\n"
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(text)
-        print(f"wrote {len(rows) - 1} rows to {args.csv}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_csv(rows, args.csv)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     nsub = nicf.add_subparsers(dest="nicf_cmd", required=True)
     p = nsub.add_parser("expand", help="nearest-integer digits of a rational")
     p.add_argument("value")
-    p.add_argument("--digits", type=int, default=20)
+    p.add_argument("--digits", type=_at_least_one, default=20)
     p = nsub.add_parser("convergents", help="p_n, q_n table of a rational")
     p.add_argument("value")
-    p.add_argument("--digits", type=int, default=20)
+    p.add_argument("--digits", type=_at_least_one, default=20)
     p = nsub.add_parser("singularize", help="rewrite a regular digit block")
     p.add_argument("--rcf", required=True, help='comma list, e.g. "2,1,3"')
 
@@ -338,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--example", choices=("cycle4", "triangle6"), required=True)
     p.add_argument("--ratio", default="1/3")
     p.add_argument("--t-grid", required=True, help="start:stop:step")
-    p.add_argument("--max-len", type=int, default=24)
+    p.add_argument("--max-len", type=_at_least_one, default=24)
     p.add_argument("--bits", type=_at_least_one, default=64,
                    help="precision of the exact roots (default 64)")
     p.add_argument("--csv", help="output path (stdout if omitted)")

@@ -48,6 +48,9 @@ _ESCALATION: Tuple[Tuple[int, int], ...] = (
     (32, 256), (64, 512), (128, 1024), (256, 2048), (512, 4096),
 )
 
+# the last k, j or r of every swept case
+_SWEEP_END = 200
+
 HOLDS = "holds"
 FAILS = "fails"
 EXACT_SUM_ONLY = "holds-with-exact-sum-only"
@@ -176,11 +179,11 @@ def phi_v_sides(j: int, k: int, terms: int, bits: int) -> Tuple[Interval, Interv
 # cases
 # ---------------------------------------------------------------------------
 
-def _case_lemma_2_6(k_max: int = 200) -> LedgerResult:
+def _case_lemma_2_6() -> LedgerResult:
     rows: List[SweepRow] = []
     held: List[Tuple[Interval, Interval]] = []
     any_reduced_fail = False
-    for k in range(4, k_max + 1):
+    for k in range(4, _SWEEP_END + 1):
         v_full, lhs, rhs = _decide(partial(lemma_2_6_sides, k))
         v_red, lhs_r, rhs_r = _decide(lambda terms, bits: (
             Fraction(9, 4) * ((k - alpha_interval(bits)) ** 2).reciprocal(),
@@ -207,12 +210,12 @@ def _case_lemma_2_6(k_max: int = 200) -> LedgerResult:
     )
 
 
-def _case_j_gt_k(j_max: int = 200) -> LedgerResult:
+def _case_j_gt_k() -> LedgerResult:
     def sides(j):
         return (Interval.point(Fraction(50, 81) * (j + Fraction(3, 2))),
                 Interval.point(Fraction(2) ** (2 * j + 1)))
 
-    rows = [_row({"j": j}, *sides(j)) for j in range(1, j_max + 1)]
+    rows = [_row({"j": j}, *sides(j)) for j in range(1, _SWEEP_END + 1)]
     lhs, rhs = sides(4)  # the smallest j inside the claim region j > k >= 3
     return LedgerResult(
         "case_j_gt_k",
@@ -221,8 +224,8 @@ def _case_j_gt_k(j_max: int = 200) -> LedgerResult:
     )
 
 
-def _case_j_le_k(k_max: int = 200) -> LedgerResult:
-    ks = range(3, k_max + 1)
+def _case_j_le_k() -> LedgerResult:
+    ks = range(3, _SWEEP_END + 1)
     vals = [Fraction(625, 81) * (k + Fraction(5, 2)) / (k - HALF) ** 2 for k in ks]
     lhs = Interval.point(vals[0])  # k = 3
     rhs = Interval.point(Fraction(8))  # j = 1 is the binding exponent
@@ -237,8 +240,8 @@ def _case_j_le_k(k_max: int = 200) -> LedgerResult:
         verdict, lhs, rhs, tuple(rows), notes)
 
 
-def _case_esti(k_max: int = 200) -> LedgerResult:
-    ks = range(3, k_max + 1)
+def _case_esti() -> LedgerResult:
+    ks = range(3, _SWEEP_END + 1)
     vals = [Fraction(625, 81) * (k + Fraction(3, 2)) / (k - HALF) ** 2 for k in ks]
     rhs = Interval.point(Fraction(2))
     rows = [_row({"k": k}, Interval.point(v), rhs) for k, v in zip(ks, vals)]
@@ -254,8 +257,8 @@ def _case_esti(k_max: int = 200) -> LedgerResult:
     )
 
 
-def _case_pm5(k_max: int = 200) -> LedgerResult:
-    ks = range(5, k_max + 1)
+def _case_pm5() -> LedgerResult:
+    ks = range(5, _SWEEP_END + 1)
     vals = [Fraction(32, 9) * (k + Fraction(3, 2)) / (k - HALF) ** 2 for k in ks]
     sides = [_decide(lambda terms, bits, v=v: (
         Interval.point(v), 1 + run_factor_interval(bits)))[1:] for v in vals]
@@ -318,7 +321,7 @@ def _case_letter3() -> LedgerResult:
     )
 
 
-def _case_q_growth(r_max: int = 200) -> LedgerResult:
+def _case_q_growth() -> LedgerResult:
     bits = 192
     s2 = surd_enclosure(2, bits)
     one_plus = 1 + s2
@@ -327,7 +330,7 @@ def _case_q_growth(r_max: int = 200) -> LedgerResult:
     tight = None
     q_prev, q = 0, 1  # q_-1, q_0 for the empty run
     pw = Interval.point(1)  # (1 + sqrt2)**r
-    for r in range(1, r_max + 1):
+    for r in range(1, _SWEEP_END + 1):
         q_prev, q = q, 2 * q + q_prev
         pw = pw * one_plus
         lhs = Interval.point(q + Fraction(q_prev, 2))
@@ -346,10 +349,10 @@ def _case_q_growth(r_max: int = 200) -> LedgerResult:
     )
 
 
-def _case_lem_2s(k_max: int = 200) -> LedgerResult:
+def _case_lem_2s() -> LedgerResult:
     rows = []
     tight = None
-    for k in range(1, k_max + 1):
+    for k in range(1, _SWEEP_END + 1):
         for sign in (1, -1):
             w = Word([3 * sign] + [2 * sign] * k + [3 * sign])
             lhs = Interval.point(w.q_ratio())

@@ -13,7 +13,10 @@ distortion ratio are exact rational evaluations at the two endpoints.
 
 The induced alphabet at v consists of the loop letters (sign, j, k):
 the self-loops +-k (j = 0) and the runs 2^j k, (-2)^j (-k) with j >= 1,
-k >= 3, in the block order -3, 3, -4, 4, then the run blocks.
+k >= 3, in the block order -3, 3, -4, 4, then the run blocks.  One
+generator, ``_block_order``, walks that order without end, and
+``vertex_alphabet(budget)`` cuts its first ``budget`` letters; the
+successor sums of ``ledger.phi_v_sides`` rest on it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple, Union
+from itertools import count, islice
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from .cf_core import HALF, Word, admissible_pair
 from .exactnum import Interval, surd_enclosure
@@ -203,6 +207,16 @@ class LoopLetter:
         return f"{head}^{self.j}{tail}"
 
 
+def _block_order() -> Iterator[LoopLetter]:
+    yield from (LoopLetter(sign, 0, k) for k in (3, 4) for sign in (-1, 1))
+    for m in count(3):
+        if m >= 5:
+            yield from (LoopLetter(sign, 0, m) for sign in (-1, 1))
+        for sign in (-1, 1):
+            yield from (LoopLetter(sign, r, m) for r in range(1, m + 1))
+            yield from (LoopLetter(sign, m, l) for l in range(m - 1, 2, -1))
+
+
 def vertex_alphabet(budget: int) -> List[LoopLetter]:
     """The first ``budget`` letters of the induced alphabet in block order.
 
@@ -213,40 +227,7 @@ def vertex_alphabet(budget: int) -> List[LoopLetter]:
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    out: List[LoopLetter] = []
-
-    def emit(sign: int, j: int, k: int) -> bool:
-        out.append(LoopLetter(sign, j, k))
-        return len(out) >= budget
-
-    def emit_run_block(sign: int, m: int) -> bool:
-        for r in range(1, m + 1):
-            if emit(sign, r, m):
-                return True
-        for l in range(m - 1, 2, -1):
-            if emit(sign, m, l):
-                return True
-        return False
-
-    for k in (3, 4):
-        for sign in (-1, 1):
-            if emit(sign, 0, k):
-                return out
-    for sign in (-1, 1):
-        if emit_run_block(sign, 3):
-            return out
-    for sign in (-1, 1):
-        if emit_run_block(sign, 4):
-            return out
-    m = 5
-    while True:
-        for sign in (-1, 1):
-            if emit(sign, 0, m):
-                return out
-        for sign in (-1, 1):
-            if emit_run_block(sign, m):
-                return out
-        m += 1
+    return list(islice(_block_order(), budget))
 
 
 def letter_constants(b: Union[int, LoopLetter], bits: int = 96) -> Tuple[Interval, Interval]:

@@ -17,7 +17,10 @@ each letter, keep it only when the tentative set's pressure at the
 target is certified nonpositive (so its dimension is certifiably at
 most the target).  A letter whose dimension straddles the target is
 rejected; the achieved interval can only approach the target from
-below.
+below.  The orderings are not stated here: phi_f walks
+``symbolic.paper_order(3)`` (``phi_f_ordering``) and phi_v the block
+order of ``nicf_system.vertex_alphabet``.  The trace keeps the letter
+sequence once, as its decisions.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .exactnum import Interval, float_down, float_up
@@ -42,7 +46,7 @@ from .pressure_dim import (
     partition_sum,
     pressure_bounds,
 )
-from .symbolic import AlphabetSelection
+from .symbolic import AlphabetSelection, paper_order
 
 DIRECT_COMPARISON = "use direct comparison"
 
@@ -189,8 +193,7 @@ class Decision:
 class SpectrumTrace:
     target: Fraction
     system: str
-    ordering: Tuple[str, ...]
-    decisions: Tuple[Decision, ...]
+    decisions: Tuple[Decision, ...]     # one per letter of the ordering
     final_letters: Tuple[str, ...]
     achieved: DimensionInterval
 
@@ -198,7 +201,7 @@ class SpectrumTrace:
         return {
             "target": float(self.target),
             "system": self.system,
-            "ordering": list(self.ordering),
+            "ordering": [d.letter for d in self.decisions],
             "decisions": [
                 {"letter": d.letter, "accepted": d.accepted,
                  "dim_lo": float_down(d.dim_lo), "dim_hi": float_up(d.dim_hi)}
@@ -214,14 +217,8 @@ class SpectrumTrace:
 
 
 def phi_f_ordering(budget: int) -> List[int]:
-    out: List[int] = []
-    k = 3
-    while len(out) < budget:
-        out.append(-k)
-        if len(out) < budget:
-            out.append(k)
-        k += 1
-    return out
+    """The first ``budget`` digits -3, 3, -4, 4, ... of the phi_f sweep."""
+    return list(islice(paper_order(3), budget))
 
 
 # 300,000 words would give 4- and 6-letter tentative sets one more, and the
@@ -278,7 +275,6 @@ def construct(target, system: str, budget: int, depth: int) -> SpectrumTrace:
     return SpectrumTrace(
         target=target,
         system=system,
-        ordering=tuple(str(x) for x in ordering),
         decisions=tuple(decisions),
         final_letters=tuple(str(x) for x in accepted),
         achieved=achieved,

@@ -9,11 +9,18 @@ caller's letter order, so output order is deterministic.
 First-return loops at a vertex v are the admissible loops based at v
 that never revisit v at a proper prefix; they form the alphabet of the
 iterated function system induced at v.
+
+Digit alphabets: ``paper_order(lo)`` is the one home of the paper's
+digit order -lo, lo, -(lo+1), lo+1, ...; ``AlphabetSelection`` takes its
+range letters from it and is the one home of the alphabet rules: explicit
+digits are distinct with |b| >= 2, and the range forms need |b| >= 3 and
+a non-empty range (a truncation no lower than the lower bound).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count, islice
 from typing import Callable, Dict, Hashable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 Edge = Hashable
@@ -142,11 +149,11 @@ def first_return_loops(g: GraphSystem, v: Hashable, max_len: int) -> Dict[int, L
 # digit alphabet selections
 # ---------------------------------------------------------------------------
 
-def _paper_order(lo: int, hi: int) -> Tuple[int, ...]:
-    out: List[int] = []
-    for k in range(lo, hi + 1):
-        out.extend((-k, k))
-    return tuple(out)
+def paper_order(lo: int) -> Iterator[int]:
+    """The paper's digit order -lo, lo, -(lo+1), lo+1, ..., without end."""
+    for k in count(lo):
+        yield -k
+        yield k
 
 
 @dataclass(frozen=True)
@@ -183,7 +190,8 @@ class AlphabetSelection:
             raise ValueError("digits |b| >= 3 required for the restricted system")
         if hi < lo:
             raise ValueError("empty range")
-        return AlphabetSelection("abs_range", _paper_order(lo, hi), lo=lo, hi=hi)
+        letters = tuple(islice(paper_order(lo), 2 * (hi - lo + 1)))
+        return AlphabetSelection("abs_range", letters, lo=lo, hi=hi)
 
     @staticmethod
     def cofinite(lo: int, trunc: int) -> "AlphabetSelection":
@@ -191,7 +199,8 @@ class AlphabetSelection:
             raise ValueError("digits |b| >= 3 required for the restricted system")
         if trunc < lo:
             raise ValueError("truncation below the lower bound")
-        return AlphabetSelection("cofinite", _paper_order(lo, trunc), lo=lo, trunc=trunc)
+        letters = tuple(islice(paper_order(lo), 2 * (trunc - lo + 1)))
+        return AlphabetSelection("cofinite", letters, lo=lo, trunc=trunc)
 
     @property
     def is_cofinite(self) -> bool:

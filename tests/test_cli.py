@@ -229,6 +229,9 @@ def test_appendix_bits_below_one_rejected(bits):
     (("spectrum", "--target", "0.3"), "--depth"),
     (("vertex-letters",), "--count"),
     (("appendix", "--example", "cycle4", "--t-grid", "0:1:1"), "--bits"),
+    (("appendix", "--example", "cycle4", "--t-grid", "0:1:1"), "--max-len"),
+    (("nicf", "expand", "3/7"), "--digits"),
+    (("nicf", "convergents", "3/7"), "--digits"),
 ])
 def test_integer_options_below_one_rejected(argv, option, value):
     # checked when the arguments are parsed, so the message names the option

@@ -7,10 +7,13 @@ import pytest
 
 from nicfdim.ledger import (
     case_ids,
+    phi_v_sides,
+    plain_tail,
     render_table,
     results_to_json,
     run_case,
 )
+from nicfdim.nicf_system import vertex_alphabet
 
 
 def test_unknown_case_lists_ids():
@@ -113,3 +116,20 @@ def test_ledger_and_mme_check_stay_float_free(monkeypatch):
         assert mme_check(b, "phi_f").passes
     for b in (4, -5, 9, LoopLetter(1, 2, 3), LoopLetter(-1, 5, 3)):
         assert mme_check(b, "phi_v").passes
+
+
+def test_phi_v_successor_rule_follows_block_order():
+    # phi_v_sides sums the plain letters +-l from l = first on; each of
+    # them must come after the letter b in the block order
+    letters = vertex_alphabet(2000)
+    plain_at = {l.sign * l.k: i for i, l in enumerate(letters) if l.j == 0}
+    checked = 0
+    for i, b in enumerate(letters):
+        j, k = b.j, b.k
+        if not (j > 0 or k >= 6):
+            continue
+        first = j + 1 if j > k else (k + 2 if j else k + 1)
+        assert all(pos > i for l, pos in plain_at.items() if abs(l) >= first)
+        assert phi_v_sides(j, k, 4, 128)[1] == F(18, 25) * plain_tail(first, 4)
+        checked += 1
+    assert checked > 1900

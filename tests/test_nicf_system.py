@@ -24,6 +24,7 @@ from nicfdim.nicf_system import (
     norm_bounds,
     vertex_alphabet,
 )
+from nicfdim.spectrum import phi_f_ordering
 from nicfdim.symbolic import first_return_loops
 
 HALF = F(1, 2)
@@ -274,3 +275,24 @@ def test_distortion_sandwich_for_inserted_blocks():
         _, sup_spliced = norm_bounds(Word(w + tau + wb))
         assert sup_spliced <= k_w * sup_t * sup_plain
         assert sup_spliced >= inf_t / k_w * sup_plain
+
+
+def _documented_block_order(m_max):
+    """The block layout of ``vertex_alphabet``'s docstring as (sign, j, k)
+    triples, for terminal magnitudes up to m_max."""
+    out = [(-1, 0, 3), (1, 0, 3), (-1, 0, 4), (1, 0, 4)]
+    for m in range(3, m_max + 1):
+        if m >= 5:
+            out += [(-1, 0, m), (1, 0, m)]
+        for sign in (-1, 1):
+            out += [(sign, r, m) for r in range(1, m + 1)]
+            out += [(sign, m, l) for l in range(m - 1, 2, -1)]
+    return out
+
+
+def test_letter_orderings_follow_the_documented_layout():
+    expected = _documented_block_order(60)
+    got = [(l.sign, l.j, l.k) for l in vertex_alphabet(len(expected))]
+    assert got == expected
+    assert len(set(got)) == len(got)
+    assert phi_f_ordering(9) == [-3, 3, -4, 4, -5, 5, -6, 6, -7]
