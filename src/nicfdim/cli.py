@@ -21,9 +21,9 @@ specs are parsed for syntax only; the alphabet rules are
 only (the precision of the worked examples' exact roots); ``dim``,
 ``pressure`` and ``spectrum`` enclose the distortion constant K at one
 fixed precision (``k_interval()`` takes no argument), so no option sets
-it.  All numeric CSV fields are shortest-round-trip doubles rounded
-outward from the exact rational bounds, so downstream consumers keep
-two-sided rigor.
+it.  ``main`` builds its parser once per process and reuses it.  All
+numeric CSV fields are shortest-round-trip doubles rounded outward from
+the exact rational bounds, so downstream consumers keep two-sided rigor.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 # let values leading with a negative digit (-8/21, "-3,3") pass as arguments
@@ -351,9 +352,15 @@ _DISPATCH = {
 }
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` reuses: ``parse_args`` returns a new
+    namespace each call and leaves the parser as it was, errors included."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return _DISPATCH[args.cmd](args)
     except NumericRangeError as exc:

@@ -13,7 +13,11 @@ pressure never need a limit:
     Z_n >= K**t   certifies  P_F(t) >= 0.
 
 Dimension intervals come from bisection on t using only such
-certificates; no uncertified digit is ever emitted.  Word-tree sums run
+certificates; no uncertified digit is ever emitted.  Each probe t walks
+the depth ladder once (``_sign_verdict``): every Z_n(t) is computed once
+and the walk stops at the first certificate of either sign.  K is
+enclosed once per kind of digit system (smallest |b| = 3 or >= 4) and
+the cofinite letter tail once per (truncation, t).  Word-tree sums run
 in the guarded float lane at every t > 0: each (letters, depth) tree is
 walked once into one array of bases 4/d**2 kept in an 8-tree LRU cache,
 and bisection probes only re-raise them to a new t and add them in walk
@@ -162,18 +166,29 @@ class DigitIfs(_WordTreeIfs):
         return self.selection.is_cofinite
 
     def k_interval(self) -> Interval:
-        beta = (alpha_interval() if self.selection.min_magnitude() == 3
-                else beta4_interval())
-        return distortion_from_ratio(beta)
+        return _digit_k(self.selection.min_magnitude() == 3)
 
     def _mats(self):
         return tuple(_letter_matrix((b,)) for b in self.letters)
 
     def _tail_mass(self, t: Fraction):
-        """Mass of the cofinite tail letters, both signs:
-        2 * sum_{k > trunc} (k - 1/2)**(-2t)."""
-        # (k - 1/2) for k >= trunc+1 equals (j + 1/2) for j >= trunc
-        return 2 * tail_sum_enclosure(self.selection.trunc, HALF, t, terms=2)
+        return _cofinite_tail(self.selection.trunc, t)
+
+
+@lru_cache(maxsize=2)
+def _digit_k(smallest_is_3: bool) -> Interval:
+    """K of a digit system: it depends only on whether 3 is its smallest
+    |b| (ratio bound alpha) or not (ratio bound 2 - sqrt3)."""
+    return distortion_from_ratio(alpha_interval() if smallest_is_3
+                                 else beta4_interval())
+
+
+@lru_cache(maxsize=64)  # (trunc, t) pairs: a dim job probes a few dozen t
+def _cofinite_tail(trunc: int, t: Fraction) -> Interval:
+    """Mass of the cofinite tail letters, both signs:
+    2 * sum_{k > trunc} (k - 1/2)**(-2t)."""
+    # (k - 1/2) for k >= trunc+1 equals (j + 1/2) for j >= trunc
+    return 2 * tail_sum_enclosure(trunc, HALF, t, terms=2)
 
 
 @dataclass(frozen=True)
@@ -478,24 +493,36 @@ def certify_nonpos(system, t: Fraction, max_depth: int, *,
 
 def certify_nonneg(system, t: Fraction, max_depth: int, *,
                    word_budget: int = WORD_BUDGET) -> bool:
-    """True iff some depth certifies P(t) >= 0 via Z_n >= K**t; a divergent
-    partition sum certifies immediately (the pressure is then infinite)."""
-    system = as_system(system)
-    t = Fraction(t)
+    """True iff the depth ladder certifies P(t) >= 0 via Z_n >= K**t, or a
+    divergent partition sum (the pressure is then infinite), at some depth
+    before any depth certifies P(t) <= 0 (see ``_sign_verdict``)."""
+    return _sign_verdict(as_system(system), Fraction(t), max_depth,
+                         word_budget) > 0
+
+
+def _sign_verdict(system, t: Fraction, max_depth: int, word_budget: int) -> int:
+    """The sign of P(t) as far as one walk up the depth ladder certifies it:
+    +1 at the first depth where Z_n diverges or Z_n >= K**t, -1 at the first
+    where Z_n <= 1, and 0 if no depth decides.  Each Z_n is computed once.
+    Both certificates at one depth mean P(t) = 0, reported as +1; on two
+    depths they could both hold only if P(t) = 0 and some Z_n = 1 exactly,
+    and the shallower one is reported."""
     if t == 0:
-        return True  # P(0) = log(letter count) >= 0 for nonempty alphabets
+        return 1  # P(0) = log(letter count) >= 0 for nonempty alphabets
     k_t = None  # K**t, computed once at the first depth that needs it
     for n in system.ladder(max_depth, word_budget):
         z = partition_sum(system, t, n)
         if is_divergent(z):
-            return True
+            return 1
         if k_t is None:
             # K = 1 exactly: pow_iv(1, t) pads above 1 at fractional t
             k = system.k_interval().hi
             k_t = k if k == 1 else pow_iv(k, t).hi
         if z.lo >= k_t:
-            return True
-    return False
+            return 1
+        if z.hi <= 1:
+            return -1
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -529,20 +556,20 @@ def dim_interval(system, max_depth: int, tol, *,
     """Certified enclosure of the Bowen root by bisection on t.
 
     The left endpoint always carries a P >= 0 certificate (t = 0 needs
-    none) and the right endpoint a P <= 0 certificate.  When neither side
-    certifies at a midpoint, both flanks are refined independently and
-    the straddle widens the result rather than guessing.
+    none) and the right endpoint a P <= 0 certificate.  Each probe t is
+    decided by one walk up the depth ladder (``_sign_verdict``), so no
+    Z_n(t) is computed twice.  When neither side certifies at a midpoint,
+    both flanks are refined independently and the straddle widens the
+    result rather than guessing.
     """
     system = as_system(system)
     tol = Fraction(tol)
-    nonneg = partial(certify_nonneg, system, max_depth=max_depth,
-                     word_budget=word_budget)
-    nonpos = partial(certify_nonpos, system, max_depth=max_depth,
-                     word_budget=word_budget)
+    verdict = partial(_sign_verdict, system, max_depth=max_depth,
+                      word_budget=word_budget)
     a = Fraction(0)
     b = None
     for cand in _UPPER_STARTS:
-        if nonpos(cand):
+        if verdict(cand) < 0:
             b = cand
             break
     if b is None:
@@ -553,13 +580,14 @@ def dim_interval(system, max_depth: int, tol, *,
     while b - a > tol and iterations < 80:
         iterations += 1
         m = (a + b) / 2
-        if nonneg(m):
+        sign = verdict(m)
+        if sign > 0:
             a = m
-        elif nonpos(m):
+        elif sign < 0:
             b = m
         else:
-            a = _refine_flank(a, m, tol, nonneg)
-            b = _refine_flank(b, m, tol, nonpos)
+            a = _refine_flank(a, m, tol, lambda t: verdict(t) > 0)
+            b = _refine_flank(b, m, tol, lambda t: verdict(t) < 0)
             break
     return DimensionInterval(a, b, max_depth, tol)
 

@@ -4,7 +4,12 @@ import contextlib
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,10 +167,25 @@ def test_pressure_depth_is_capped_by_the_word_budget(capsys):
 
 
 def test_dim_overflow_exits_numeric_range(capsys):
-    # depth-16 word denominators of digits +-10**12 exceed the double range
+    # depth-16 word denominators of digits +-10**12 exceed the double range;
+    # a tolerance this fine needs certificates deeper than depth 1
     big = 10 ** 12
-    rc, out, err = run(capsys, "dim", f"--alphabet=-{big},{big}", "--depth", "16")
+    rc, out, err = run(capsys, "dim", f"--alphabet=-{big},{big}", "--depth", "16",
+                       "--tol", "0.000001")
     assert rc == 4 and out == "" and err.startswith("error:")
+
+
+def test_dim_stops_at_the_depth_that_certifies(capsys):
+    # at these tolerances every probe of +-10**12 is decided before the
+    # ladder reaches depth 16, so the tree that overflows is never walked
+    big = 10 ** 12
+    root = math.log(2) / (2 * math.log(big))
+    for tol in (None, "0.0001"):
+        argv = ["dim", f"--alphabet=-{big},{big}", "--depth", "16"]
+        rc, out, err = run(capsys, *argv, *(["--tol", tol] if tol else []))
+        got = json.loads(out)
+        assert rc == 0 and err == ""
+        assert got["lo"] <= root <= got["hi"]
 
 
 def test_pressure_underflow_exits_numeric_range(capsys):
@@ -297,3 +317,35 @@ def test_cli_exit_codes_are_documented(cmd, spec, depth, grid, bits):
                 "--t-grid", "0.125:0.25:0.125", f"--bits={bits}"]
     rc, _, err = cli(*argv)
     assert rc in (0, 2, 3, 4), (argv, rc, err)
+
+
+def test_main_reuses_one_parser(monkeypatch):
+    # a parse error (exit 2) must leave nothing behind in the shared parser
+    from nicfdim import cli as cli_module
+
+    builds = []
+    build = cli_module.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    cli_module._shared_parser.cache_clear()
+    monkeypatch.setattr(cli_module, "build_parser", counting_build)
+    argv = ("dim", "--alphabet", "-3,3", "--depth", "8", "--tol", "0.1")
+    first = cli(*argv)
+    for bad in (("dim", "--alphabet", "-3,3", "--depth", "0"),
+                ("--bits", "64", "dim", "--alphabet", "-3,3"),
+                ("dim", "--tol", "0.5"),
+                ("dim", "--alphabet", "-3,2")):
+        assert cli(*bad)[0] == 2
+    again = cli(*argv)
+    assert len(builds) == 1
+
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    fresh = subprocess.run([sys.executable, "-m", "nicfdim.cli", *argv],
+                           capture_output=True, text=True, env=env, check=False)
+    assert first == again == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert fresh.returncode == 0 and fresh.stdout

@@ -4,11 +4,11 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nicfdim import pressure_dim
 from nicfdim.cf_core import Word
-from nicfdim.exactnum import NumericRangeError, exp_interval
+from nicfdim.exactnum import NumericRangeError, exp_interval, pow_iv
 from nicfdim.nicf_system import LoopLetter, norm_bounds, letter_constants
 from nicfdim.pressure_dim import (
     DigitIfs,
@@ -448,6 +448,58 @@ def test_sign_certificates_never_both_hold(sel, t, depth):
     # both need P(t) = 0, where every Z_n >= 1, so Z_n <= 1 would need an
     # enclosure of width 0 at 1; float-lane sums always have positive width
     assert not (certify_nonneg(sel, t, depth) and certify_nonpos(sel, t, depth))
+
+
+def _nonneg_at_some_depth(sel, t, depth):
+    """P(t) >= 0 certified at any depth of the ladder, P(t) <= 0
+    certificates ignored: the two-walk bisection's first question."""
+    system = pressure_dim.as_system(sel)
+    k_t = pow_iv(system.k_interval().hi, t).hi
+    for n in system.ladder(depth, pressure_dim.WORD_BUDGET):
+        z = partition_sum(system, t, n)
+        if is_divergent(z) or z.lo >= k_t:
+            return True
+    return False
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(sel=_DIGIT_SELECTIONS, t=_SIXTEENTHS, depth=st.integers(1, 5))
+# about 1 draw in 70 needs depth > 1; these two are decided at 4 and 2
+@example(sel=AlphabetSelection.explicit([-3, -4]), t=F(1, 4), depth=5)
+@example(sel=AlphabetSelection.explicit([-3, -4]), t=F(5, 16), depth=5)
+def test_one_walk_verdict_matches_the_two_certificates(sel, t, depth):
+    # the one walk stops at the first certificate; it must decide every
+    # probe as "nonneg first, then nonpos" over the whole ladder did
+    from nicfdim.pressure_dim import WORD_BUDGET, _sign_verdict
+    verdict = _sign_verdict(pressure_dim.as_system(sel), t, depth, WORD_BUDGET)
+    nonneg = _nonneg_at_some_depth(sel, t, depth)
+    assert certify_nonneg(sel, t, depth) == nonneg
+    assert (verdict == 1) == nonneg
+    assert (verdict == -1) == (certify_nonpos(sel, t, depth) and not nonneg)
+
+
+def test_dim_computes_each_sum_and_tail_once(monkeypatch):
+    from nicfdim.pressure_dim import _cofinite_tail
+    sums, tails = [], []
+    partition, tail = pressure_dim.partition_sum, pressure_dim.tail_sum_enclosure
+
+    def recording_sum(system, t, n):
+        sums.append((t, n))
+        return partition(system, t, n)
+
+    def recording_tail(k, c, s, terms=0):
+        tails.append((k, s))
+        return tail(k, c, s, terms)
+
+    monkeypatch.setattr(pressure_dim, "partition_sum", recording_sum)
+    monkeypatch.setattr(pressure_dim, "tail_sum_enclosure", recording_tail)
+    _cofinite_tail.cache_clear()
+    for sel, depth, tol in ((PM3, 10, F(1, 50)),
+                            (AlphabetSelection.cofinite(3, 5), 4, F(1, 1000))):
+        sums.clear()
+        dim_interval(sel, depth, tol)
+        assert sums and len(sums) == len(set(sums))  # each (t, n) once
+    assert tails and len(tails) == len(set(tails))    # each cofinite tail once
 
 
 def test_pressure_path_never_calls_the_exact_lane(monkeypatch):
