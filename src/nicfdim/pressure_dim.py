@@ -15,7 +15,10 @@ pressure never need a limit:
 Dimension intervals come from bisection on t using only such
 certificates; no uncertified digit is ever emitted.  Each probe t walks
 the depth ladder once (``_sign_verdict``): every Z_n(t) is computed once
-and the walk stops at the first certificate of either sign.  K is
+and the walk stops at the first certificate of either sign.  Both hold
+at one depth only where Z_n = K**t = 1, so P(t) = 0, which the walk
+reports as nonpositive.  The same walk decides each letter of the greedy
+spectrum and the regularity test of ``classify_nature``.  K is
 enclosed once per kind of digit system (smallest |b| = 3 or >= 4) and
 the cofinite letter tail once per (truncation, t).  Word-tree sums run
 in the guarded float lane at every t > 0: each (letters, depth) tree is
@@ -274,11 +277,19 @@ class SimilarityIfs:
         for r in self.ratios:
             z1 = z1 + pow_iv(r, t)
         for base, r in self.families:
-            rt = pow_iv(r, t)
-            if rt.hi >= 1:
-                return DIVERGENT
-            z1 = z1 + pow_iv(base, t) / (1 - rt)
+            z1 = z1 + pow_iv(base, t) / _geometric_gap(pow_iv(r, t))
         return z1 ** n
+
+
+def _geometric_gap(rt: Interval) -> Interval:
+    """1 - r**t of a family ratio r < 1 at t > 0, where the family sum
+    converges; a ratio so close to 1 that the enclosure of r**t reaches 1
+    shows no convergence at this precision."""
+    if rt.hi >= 1:
+        raise NumericRangeError(
+            "a ratio**t enclosure reaches 1: the geometric family converges "
+            "at t > 0, but not provably at this precision")
+    return 1 - rt
 
 
 System = Union[DigitIfs, LoopIfs, SimilarityIfs]
@@ -439,7 +450,7 @@ def partition_sum(system, t: Fraction, n: int, *, threads: int = 1):
 
 
 # ---------------------------------------------------------------------------
-# pressure bounds and sign certificates
+# pressure bounds and the sign walk
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -477,51 +488,28 @@ def pressure_bounds(system, t: Fraction, n: int):
     )
 
 
-def certify_nonpos(system, t: Fraction, max_depth: int, *,
-                   word_budget: int = WORD_BUDGET) -> bool:
-    """True iff some depth n <= max_depth certifies P(t) <= 0 via Z_n <= 1."""
-    system = as_system(system)
-    t = Fraction(t)
-    for n in system.ladder(max_depth, word_budget):
-        z = partition_sum(system, t, n)
-        if is_divergent(z):
-            return False
-        if z.hi <= 1:
-            return True
-    return False
-
-
-def certify_nonneg(system, t: Fraction, max_depth: int, *,
-                   word_budget: int = WORD_BUDGET) -> bool:
-    """True iff the depth ladder certifies P(t) >= 0 via Z_n >= K**t, or a
-    divergent partition sum (the pressure is then infinite), at some depth
-    before any depth certifies P(t) <= 0 (see ``_sign_verdict``)."""
-    return _sign_verdict(as_system(system), Fraction(t), max_depth,
-                         word_budget) > 0
-
-
 def _sign_verdict(system, t: Fraction, max_depth: int, word_budget: int) -> int:
     """The sign of P(t) as far as one walk up the depth ladder certifies it:
-    +1 at the first depth where Z_n diverges or Z_n >= K**t, -1 at the first
-    where Z_n <= 1, and 0 if no depth decides.  Each Z_n is computed once.
-    Both certificates at one depth mean P(t) = 0, reported as +1; on two
-    depths they could both hold only if P(t) = 0 and some Z_n = 1 exactly,
-    and the shallower one is reported."""
-    if t == 0:
-        return 1  # P(0) = log(letter count) >= 0 for nonempty alphabets
+    -1 at the first depth where Z_n <= 1, +1 at the first where Z_n
+    diverges or Z_n >= K**t, and 0 if no depth decides.  Each Z_n is
+    computed once.  Both certificates at one depth mean P(t) = 0 exactly,
+    reported as -1; they meet only in the exact lane, where Z_n = K**t = 1
+    (a singleton at t = 0, or a similarity system at integer t).  At
+    t = 0, Z_n = count**n decides by itself: +1 for two or more letters or
+    an infinite alphabet, -1 for one letter."""
     k_t = None  # K**t, computed once at the first depth that needs it
     for n in system.ladder(max_depth, word_budget):
         z = partition_sum(system, t, n)
         if is_divergent(z):
             return 1
+        if z.hi <= 1:
+            return -1
         if k_t is None:
             # K = 1 exactly: pow_iv(1, t) pads above 1 at fractional t
             k = system.k_interval().hi
             k_t = k if k == 1 else pow_iv(k, t).hi
         if z.lo >= k_t:
             return 1
-        if z.hi <= 1:
-            return -1
     return 0
 
 
@@ -644,29 +632,25 @@ _NATURE_DEPTH = 6
 def classify_nature(system, *,
                     t_samples: Optional[Sequence[Fraction]] = None) -> str:
     """Certified regularity classification; 'indeterminate' when the
-    sampled certificates decide nothing."""
+    sampled certificates decide nothing.
+
+    P is finite and strictly decreasing on (theta, inf), so P(t) >= 0 at
+    a sample t > theta gives 0 < P < inf just left of t: strongly regular.
+    Samples at or below theta are skipped.  No sample can show
+    irregularity: P(theta + delta) < 0 leaves room for a zero in
+    (theta, theta + delta), and every infinite system here diverges at
+    theta, so such a zero always exists."""
     system = as_system(system)
     theta = system.theta
     if not system.infinite_alphabet:
         if system.letter_count >= 2:
             return "strongly regular"  # 0 < P(0) = log(count) < inf, exactly
         return "critically regular"    # singleton: P(theta) = P(0) = 0
-    samples = list(t_samples) if t_samples is not None else [
-        t for t in _NATURE_GRID if t > theta]
-    ladder = system.ladder(_NATURE_DEPTH, WORD_BUDGET)
-    for t in samples:
-        for n in ladder:
-            pb = pressure_bounds(system, Fraction(t), n)
-            if is_divergent(pb):
-                break
-            if pb.lo > 0:
-                return "strongly regular"
-    # perhaps P < 0 already just above theta (then P is never zero)
-    for delta in (Fraction(1, 64), Fraction(1, 128)):
-        for n in ladder:
-            pb = pressure_bounds(system, theta + delta, n)
-            if not is_divergent(pb) and pb.hi < 0:
-                return "irregular"
+    for t in (_NATURE_GRID if t_samples is None else t_samples):
+        t = Fraction(t)
+        if t > theta and _sign_verdict(system, t, _NATURE_DEPTH,
+                                       WORD_BUDGET) > 0:
+            return "strongly regular"
     return "indeterminate"
 
 
@@ -728,11 +712,12 @@ class VertexLoopSpec:
             if ln > max_len:
                 acc = acc + _appendix_pow(r, t, bits)
         for f in self.families:
+            if t == 0:
+                raise DivergentTailError("divergent loop tail")
             m0 = f.count_up_to(max_len)  # first omitted member index
             rt = _appendix_pow(f.cycle_ratio, t, bits)
-            if rt.hi >= 1:
-                raise DivergentTailError("divergent loop tail")
-            acc = acc + _appendix_pow(f.base_ratio, t, bits) * rt ** m0 / (1 - rt)
+            acc = (acc + _appendix_pow(f.base_ratio, t, bits) * rt ** m0
+                   / _geometric_gap(rt))
         return acc
 
 

@@ -13,11 +13,13 @@ where the criterion has no room, are handled by
 ``direct_lambda_comparison`` instead.
 
 ``construct`` runs the greedy sweep: walk the ordering, tentatively add
-each letter, keep it only when the tentative set's pressure at the
-target is certified nonpositive (so its dimension is certifiably at
-most the target).  A letter whose dimension straddles the target is
-rejected; the achieved interval can only approach the target from
-below.  The orderings are not stated here: phi_f walks
+each letter, and decide it by one walk up the depth ladder at the
+target (``pressure_dim._sign_verdict``), which stops at the first depth
+that certifies either sign.  The letter is kept only when that walk
+certifies the tentative set's pressure nonpositive (so its dimension is
+certifiably at most the target).  A letter whose dimension straddles
+the target is rejected; the achieved interval can only approach the
+target from below.  The orderings are not stated here: phi_f walks
 ``symbolic.paper_order(3)`` (``phi_f_ordering``) and phi_v the block
 order of ``nicf_system.vertex_alphabet``.  The trace keeps the letter
 sequence once, as its decisions.
@@ -39,8 +41,8 @@ from .pressure_dim import (
     DigitIfs,
     DimensionInterval,
     LoopIfs,
+    _sign_verdict,
     as_system,
-    certify_nonpos,
     dim_interval,
     is_divergent,
     partition_sum,
@@ -231,8 +233,11 @@ def construct(target, system: str, budget: int, depth: int) -> SpectrumTrace:
     """Greedy sweep over the ordering, keeping a letter only when the
     tentative set's dimension is certified <= target.
 
-    Acceptance is the certificate P(target) <= 0 at some depth within
-    budget, which bounds the Bowen root by the target; the per-step
+    Each letter is decided by one walk up the depth ladder at the target,
+    which stops at the first depth certifying either sign of P(target).
+    It is kept iff that walk certifies P(target) <= 0, which bounds the
+    Bowen root by the target (P(target) = 0 exactly, as for the lone
+    letter -3 at target 0, counts as <= 0); the per-step
     certified upper bound therefore never exceeds the target.  Budgeted
     truncation means the result is a finite digit set whose dimension
     approaches the target from below; nothing is claimed about the
@@ -261,8 +266,8 @@ def construct(target, system: str, budget: int, depth: int) -> SpectrumTrace:
     decisions: List[Decision] = []
     for letter in ordering:
         tentative = accepted + [letter]
-        ok = certify_nonpos(make(tentative), target, depth,
-                            word_budget=_CONSTRUCT_WORD_BUDGET)
+        ok = _sign_verdict(make(tentative), target, depth,
+                           _CONSTRUCT_WORD_BUDGET) < 0
         if ok:
             accepted = tentative
         decisions.append(Decision(str(letter), ok, Fraction(0), target))

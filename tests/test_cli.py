@@ -142,6 +142,15 @@ def test_appendix_command(tmp_path, capsys):
     assert all(r[-1] == "1" for r in rows[1:])
 
 
+def test_appendix_ratio_near_one_exits_numeric_range(capsys):
+    # the loop families converge at t > 0 (ratio < 1), but the enclosure
+    # of ratio**t at t = 1/1000 reaches 1: a range failure, not "inf"
+    rc, out, err = run(capsys, "appendix", "--example", "cycle4",
+                       "--ratio", "0.99999999999999999999",
+                       "--t-grid", "1/1000:1/1000:1")
+    assert rc == 4 and out == "" and err.startswith("error:")
+
+
 def test_outward_csv_rounding(capsys):
     # lower bounds round down, upper bounds round up, as doubles
     from nicfdim.cli import _out_lo, _out_hi

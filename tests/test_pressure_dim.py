@@ -15,8 +15,6 @@ from nicfdim.pressure_dim import (
     LoopIfs,
     SimilarityIfs,
     appendix_example,
-    certify_nonneg,
-    certify_nonpos,
     classify_nature,
     dim_interval,
     finiteness_exponent,
@@ -204,13 +202,11 @@ def test_dim_nested_ranges():
 def test_certificates_are_consistent():
     # P(t) cannot be certified both strictly above and below zero
     for t in (F(1, 4), F(1, 3), F(1, 2)):
-        up = certify_nonpos(PM3, t, 12)
-        dn = certify_nonneg(PM3, t, 12)
-        true_dim_above = t < F(31, 100)
-        if up and dn:
-            pass  # only possible at an exact root; not these t
-        if true_dim_above:
-            assert not up  # dim > t means P(t) > 0
+        up = _nonpos_at_some_depth(PM3, t, 12)
+        dn = _nonneg_at_some_depth(PM3, t, 12)
+        assert up is None or dn is None  # both only at an exact root
+        if t < F(31, 100):
+            assert up is None  # dim > t means P(t) > 0
 
 
 def test_finiteness_exponents():
@@ -361,7 +357,31 @@ def test_classify_nature():
     assert classify_nature(AlphabetSelection.cofinite(3, 40)) == "strongly regular"
     # an empty sample grid decides nothing for a tailed system
     assert classify_nature(AlphabetSelection.cofinite(3, 40),
-                           t_samples=[]) in ("indeterminate", "irregular")
+                           t_samples=[]) == "indeterminate"
+    # samples at or below theta = 1/2 are skipped, not read through the
+    # divergence of Z_n there
+    assert classify_nature(AlphabetSelection.cofinite(3, 40),
+                           t_samples=[F(1, 2), F(1, 4)]) == "indeterminate"
+
+
+def test_classify_nature_claims_no_irregularity():
+    # the root lies in [7/1024, 1/128], below every sample, so P < 0 at
+    # each sample; that leaves a zero in (theta, sample) and shows nothing
+    system = SimilarityIfs(families=((F(1, 10 ** 300), F(1, 2)),))
+    di = dim_interval(system, 4, F(1, 1000))
+    assert F(7, 1024) <= di.lo and di.hi <= F(1, 128)
+    assert classify_nature(system) == "indeterminate"
+
+
+def test_similarity_ratio_near_one_is_out_of_range_not_divergent():
+    # every ratio is below 1, so the family converges at every t > 0; a
+    # float enclosure of ratio**t that reaches 1 is a precision failure
+    system = SimilarityIfs(families=((F(1, 10 ** 300), 1 - F(1, 10 ** 20)),))
+    assert is_divergent(partition_sum(system, 0, 1))
+    with pytest.raises(NumericRangeError):
+        partition_sum(system, F(1, 2), 1)
+    with pytest.raises(NumericRangeError):
+        dim_interval(system, 4, F(1, 1000))
 
 
 def test_lambda_sandwich_on_letter_addition():
@@ -447,19 +467,33 @@ def test_pressure_brackets_at_two_depths_intersect(sel, t, depths):
 def test_sign_certificates_never_both_hold(sel, t, depth):
     # both need P(t) = 0, where every Z_n >= 1, so Z_n <= 1 would need an
     # enclosure of width 0 at 1; float-lane sums always have positive width
-    assert not (certify_nonneg(sel, t, depth) and certify_nonpos(sel, t, depth))
+    assert (_nonneg_at_some_depth(sel, t, depth) is None
+            or _nonpos_at_some_depth(sel, t, depth) is None)
 
 
 def _nonneg_at_some_depth(sel, t, depth):
-    """P(t) >= 0 certified at any depth of the ladder, P(t) <= 0
-    certificates ignored: the two-walk bisection's first question."""
+    """The first ladder depth certifying P(t) >= 0 (Z_n diverges or
+    Z_n >= K**t), P(t) <= 0 certificates ignored; None if none does."""
     system = pressure_dim.as_system(sel)
     k_t = pow_iv(system.k_interval().hi, t).hi
     for n in system.ladder(depth, pressure_dim.WORD_BUDGET):
         z = partition_sum(system, t, n)
         if is_divergent(z) or z.lo >= k_t:
-            return True
-    return False
+            return n
+    return None
+
+
+def _nonpos_at_some_depth(sel, t, depth):
+    """The first ladder depth certifying P(t) <= 0 (Z_n <= 1), P(t) >= 0
+    certificates ignored; None if none does."""
+    system = pressure_dim.as_system(sel)
+    for n in system.ladder(depth, pressure_dim.WORD_BUDGET):
+        z = partition_sum(system, t, n)
+        if is_divergent(z):
+            return None
+        if z.hi <= 1:
+            return n
+    return None
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -467,15 +501,24 @@ def _nonneg_at_some_depth(sel, t, depth):
 # about 1 draw in 70 needs depth > 1; these two are decided at 4 and 2
 @example(sel=AlphabetSelection.explicit([-3, -4]), t=F(1, 4), depth=5)
 @example(sel=AlphabetSelection.explicit([-3, -4]), t=F(5, 16), depth=5)
+# t = 0, where Z_n = count**n decides: S3 ties (Z_1 = K**0 = 1) and gets -1,
+# PM3 (Z_n = 2**n) and the divergent cofinite(3, 5) get +1
+@example(sel=S3, t=F(0), depth=3)
+@example(sel=PM3, t=F(0), depth=3)
+@example(sel=AlphabetSelection.cofinite(3, 5), t=F(0), depth=3)
 def test_one_walk_verdict_matches_the_two_certificates(sel, t, depth):
-    # the one walk stops at the first certificate; it must decide every
-    # probe as "nonneg first, then nonpos" over the whole ladder did
+    # the one walk stops at the first depth holding either certificate and
+    # reports a tie there as -1; 0 means no depth holds either
     from nicfdim.pressure_dim import WORD_BUDGET, _sign_verdict
     verdict = _sign_verdict(pressure_dim.as_system(sel), t, depth, WORD_BUDGET)
     nonneg = _nonneg_at_some_depth(sel, t, depth)
-    assert certify_nonneg(sel, t, depth) == nonneg
-    assert (verdict == 1) == nonneg
-    assert (verdict == -1) == (certify_nonpos(sel, t, depth) and not nonneg)
+    nonpos = _nonpos_at_some_depth(sel, t, depth)
+    if verdict == 1:
+        assert nonneg is not None and (nonpos is None or nonneg < nonpos)
+    elif verdict == -1:
+        assert nonpos is not None and (nonneg is None or nonpos <= nonneg)
+    else:
+        assert verdict == 0 and nonneg is None and nonpos is None
 
 
 def test_dim_computes_each_sum_and_tail_once(monkeypatch):
