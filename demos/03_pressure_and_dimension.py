@@ -10,9 +10,9 @@ from fractions import Fraction as F
 
 from nicfdim import (
     AlphabetSelection,
+    DivergentTailError,
     dim_interval,
     finiteness_exponent,
-    is_divergent,
     partition_sum,
     pressure_bounds,
 )
@@ -46,6 +46,10 @@ print()
 print("== the cofinite tail diverges at and below t = 1/2 ==")
 cof = AlphabetSelection.cofinite(3, 60)
 print("  theta =", finiteness_exponent(cof).theta)
-print("  Z_1(1/2) divergent:", is_divergent(partition_sum(cof, F(1, 2), 1)))
+try:
+    partition_sum(cof, F(1, 2), 1)
+    print("  Z_1(1/2) divergent: False")
+except DivergentTailError:
+    print("  Z_1(1/2) divergent: True")
 z = partition_sum(cof, F(5, 8), 1)
 print(f"  Z_1(5/8) in [{float(z.lo):.4f}, {float(z.hi):.4f}] (tail included)")

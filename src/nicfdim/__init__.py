@@ -47,7 +47,6 @@ from .nicf_system import (
     vertex_alphabet,
 )
 from .pressure_dim import (
-    DIVERGENT,
     AppendixSystem,
     DigitIfs,
     DimensionInterval,
@@ -59,7 +58,6 @@ from .pressure_dim import (
     classify_nature,
     dim_interval,
     finiteness_exponent,
-    is_divergent,
     partition_sum,
     pressure_bounds,
     vertex_system,

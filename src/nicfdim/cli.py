@@ -11,17 +11,21 @@ Subcommands map one-to-one onto library capabilities:
     appendix                                    worked similarity systems
 
 Exit codes: 0 success, 2 parse errors, 3 indeterminate certification
-(e.g. a dimension tolerance that was not achieved), 4 a numeric-range
-failure (a word denominator or partition sum outside the range of the
-float lane).  ``--threads`` is accepted and has no effect.  ``--depth``,
-``--budget``, ``--count``, ``--bits``, ``--max-len`` and ``--digits``
-are checked to be at least 1 when the arguments are parsed.  Alphabet
-specs are parsed for syntax only; the alphabet rules are
-``AlphabetSelection``'s.  ``--bits`` is an ``appendix`` option
-only (the precision of the worked examples' exact roots); ``dim``,
-``pressure`` and ``spectrum`` enclose the distortion constant K at one
-fixed precision (``k_interval()`` takes no argument), so no option sets
-it.  ``main`` builds its parser once per process and reuses it.  All
+(a dimension tolerance that was not achieved, or a ``spectrum`` sweep
+that certified no letter), 4 a numeric-range failure (a word denominator
+or partition sum outside the range of the float lane).  A divergent sum
+is a result, not an error: ``pressure`` prints ``inf`` at every t at or
+below theta, and ``appendix`` prints ``inf`` rows for a vertex with a
+loop family at every t <= 0.  Every ``--t-grid`` start, stop and step
+must be a finite double, as t is printed as one.  ``--threads`` is
+accepted and has no effect.  ``--depth``, ``--budget``, ``--count``,
+``--bits``, ``--max-len`` and ``--digits`` are checked to be at least 1
+when the arguments are parsed.  Alphabet specs are parsed for syntax
+only; the alphabet rules are ``AlphabetSelection``'s.  ``--bits`` is an
+``appendix`` option only (the precision of the worked examples' exact
+roots); ``dim``, ``pressure`` and ``spectrum`` enclose the distortion
+constant K at one fixed precision (``k_interval()`` takes no argument),
+so no option sets it.  ``main`` builds its parser once per process and reuses it.  All
 numeric CSV fields are shortest-round-trip doubles rounded outward from
 the exact rational bounds, so downstream consumers keep two-sided rigor.
 """
@@ -49,7 +53,6 @@ from .pressure_dim import (
     DigitIfs,
     appendix_example,
     dim_interval,
-    is_divergent,
     pressure_bounds,
 )
 from .spectrum import construct
@@ -131,6 +134,10 @@ def _parse_t_grid(spec: str) -> List[Fraction]:
     if len(parts) != 3:
         raise ValueError("t-grid must be start:stop:step")
     a, b, step = (_parse_rational(p) for p in parts)
+    try:
+        float(a), float(b), float(step)
+    except OverflowError:
+        raise ValueError("t-grid values must be finite doubles") from None
     if step <= 0:
         raise ValueError("t-grid step must be positive")
     out = []
@@ -196,11 +203,12 @@ def _cmd_pressure(args) -> int:
     grid = _parse_t_grid(args.t_grid)
     rows = ["t,pressure_lo,pressure_hi"]
     for t in grid:
-        pb = pressure_bounds(system, t, depth)
-        if is_divergent(pb):
+        try:
+            pb = pressure_bounds(system, t, depth)
+        except DivergentTailError:
             rows.append(f"{float(t)!r},inf,inf")
-        else:
-            rows.append(f"{float(t)!r},{_out_lo(pb.lo)!r},{_out_hi(pb.hi)!r}")
+            continue
+        rows.append(f"{float(t)!r},{_out_lo(pb.lo)!r},{_out_hi(pb.hi)!r}")
     return _write_csv(rows, args.csv)
 
 
@@ -208,7 +216,7 @@ def _cmd_spectrum(args) -> int:
     trace = construct(_parse_rational(args.target), args.system, args.budget,
                       args.depth)
     print(json.dumps(trace.to_json_dict(), indent=2))
-    return 0
+    return 0 if trace.final_letters else INDETERMINATE
 
 
 def _cmd_ledger(args) -> int:

@@ -72,27 +72,6 @@ from .nicf_system import (
 from .symbolic import AlphabetSelection, GraphSystem, first_return_loops
 
 
-class _DivergentType:
-    """Flag returned where a sum provably diverges (t at or below theta)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "DIVERGENT"
-
-
-DIVERGENT = _DivergentType()
-
-
-def is_divergent(x) -> bool:
-    return x is DIVERGENT
-
-
 # ---------------------------------------------------------------------------
 # systems
 # ---------------------------------------------------------------------------
@@ -102,8 +81,8 @@ class _WordTreeIfs:
 
     Subclasses supply ``letters``, ``infinite_alphabet``, ``k_interval``,
     the letter matrices ``_mats()`` and, for an infinite alphabet, an
-    enclosure ``_tail_mass(t)`` of the letter tail mass at t > theta;
-    the word-tree sum and the divergence test are shared.
+    enclosure ``_tail_mass(t)`` of the letter tail mass, which raises
+    ``DivergentTailError`` at t <= theta; the word-tree sum is shared.
     """
 
     @property
@@ -131,16 +110,13 @@ class _WordTreeIfs:
 
     def partition_sum_body(self, t: Fraction, n: int):
         """Z_n(t) for t >= 0, n >= 1 (see ``partition_sum``)."""
-        if self.infinite_alphabet and t <= self.theta:
-            return DIVERGENT
         mats = self._mats()
-        if t == 0:  # the alphabet is finite here
-            return Interval.point(Fraction(len(mats)) ** n)
-
-        core = _z_float(mats, n, t)
         if not self.infinite_alphabet:
-            return core
-        tail = self._tail_mass(t)
+            if t == 0:
+                return Interval.point(Fraction(len(mats)) ** n)
+            return _z_float(mats, n, t)
+        tail = self._tail_mass(t)  # raises before any word is walked
+        core = _z_float(mats, n, t)
         if n == 1:
             return Interval(core.lo + tail.lo, core.hi + tail.hi)
         sigma_t = _z_float(mats, 1, t)
@@ -269,22 +245,22 @@ class SimilarityIfs:
         return [1]  # Z_n = Z_1**n, deeper adds nothing
 
     def partition_sum_body(self, t: Fraction, n: int):
-        if t == 0:
-            if self.families:
-                return DIVERGENT
-            return Interval.point(Fraction(len(self.ratios)) ** n)
+        # pow_iv(x, 0) is the exact point 1, so at t = 0 this is count**n
         z1 = Interval.point(0)
         for r in self.ratios:
             z1 = z1 + pow_iv(r, t)
         for base, r in self.families:
-            z1 = z1 + pow_iv(base, t) / _geometric_gap(pow_iv(r, t))
+            z1 = z1 + pow_iv(base, t) / _geometric_gap(pow_iv(r, t), t)
         return z1 ** n
 
 
-def _geometric_gap(rt: Interval) -> Interval:
-    """1 - r**t of a family ratio r < 1 at t > 0, where the family sum
-    converges; a ratio so close to 1 that the enclosure of r**t reaches 1
-    shows no convergence at this precision."""
+def _geometric_gap(rt: Interval, t: Fraction) -> Interval:
+    """1 - r**t of a family ratio r < 1.  At t <= 0 every member has
+    r**t >= 1, so the family sum diverges (``DivergentTailError``).  At
+    t > 0 it converges, but a ratio so close to 1 that the enclosure of
+    r**t reaches 1 shows no convergence at this precision."""
+    if t <= 0:
+        raise DivergentTailError("a geometric family diverges at t <= 0")
     if rt.hi >= 1:
         raise NumericRangeError(
             "a ratio**t enclosure reaches 1: the geometric family converges "
@@ -412,11 +388,10 @@ def vertex_tail_bound(t: Fraction, j_max: int, k_max: int):
         sum over {j > j_max, k >= 3} + {j <= j_max, k > k_max}
         of (sup |phi'_{2^j k}|)**t,
 
-    both signs, via sup <= (1/4)**j (k - 1/2)**-2.  Divergent for t <= 1/2.
+    both signs, via sup <= (1/4)**j (k - 1/2)**-2.  Raises
+    ``DivergentTailError`` for t <= 1/2, where the k-sum diverges.
     """
     t = Fraction(t)
-    if 2 * t <= 1:
-        return DIVERGENT
     s_all = tail_sum_enclosure(2, HALF, t, terms=2)       # k >= 3
     s_tail = tail_sum_enclosure(k_max, HALF, t, terms=1)  # k > k_max
     x = pow_iv(Fraction(1, 4), t)                         # 4**-t < 1
@@ -431,7 +406,8 @@ def vertex_tail_bound(t: Fraction, j_max: int, k_max: int):
 
 
 def partition_sum(system, t: Fraction, n: int, *, threads: int = 1):
-    """Enclosure of Z_n(t) for the system, or DIVERGENT.
+    """Enclosure of Z_n(t) for the system.  Raises ``DivergentTailError``
+    where the sum diverges: an infinite alphabet at t <= theta.
 
     Cofinite digit systems and the tailed vertex system add their letter
     tails exactly at n = 1; for n >= 2 the lower bound is the truncated
@@ -466,12 +442,11 @@ class PressureBounds:
 
 
 def pressure_bounds(system, t: Fraction, n: int):
-    """Two-sided pressure enclosure at depth n, or DIVERGENT."""
+    """Two-sided pressure enclosure at depth n.  Raises
+    ``DivergentTailError`` where Z_n diverges (P(t) = +inf)."""
     system = as_system(system)
     t = Fraction(t)
     z = partition_sum(system, t, n)
-    if is_divergent(z):
-        return DIVERGENT
     if z.lo <= 0:
         raise NumericRangeError(
             "partition sum vanishes at this precision; no finite lower "
@@ -491,16 +466,17 @@ def pressure_bounds(system, t: Fraction, n: int):
 def _sign_verdict(system, t: Fraction, max_depth: int, word_budget: int) -> int:
     """The sign of P(t) as far as one walk up the depth ladder certifies it:
     -1 at the first depth where Z_n <= 1, +1 at the first where Z_n
-    diverges or Z_n >= K**t, and 0 if no depth decides.  Each Z_n is
-    computed once.  Both certificates at one depth mean P(t) = 0 exactly,
-    reported as -1; they meet only in the exact lane, where Z_n = K**t = 1
-    (a singleton at t = 0, or a similarity system at integer t).  At
-    t = 0, Z_n = count**n decides by itself: +1 for two or more letters or
-    an infinite alphabet, -1 for one letter."""
+    diverges (``DivergentTailError``) or Z_n >= K**t, and 0 if no depth
+    decides.  Each Z_n is computed once.  Both certificates at one depth
+    mean P(t) = 0 exactly, reported as -1; they meet only in the exact
+    lane, where Z_n = K**t = 1 (a singleton at t = 0, or a similarity
+    system at integer t).  At t = 0, Z_n = count**n decides by itself: +1
+    for two or more letters or an infinite alphabet, -1 for one letter."""
     k_t = None  # K**t, computed once at the first depth that needs it
     for n in system.ladder(max_depth, word_budget):
-        z = partition_sum(system, t, n)
-        if is_divergent(z):
+        try:
+            z = partition_sum(system, t, n)
+        except DivergentTailError:
             return 1
         if z.hi <= 1:
             return -1
@@ -712,12 +688,10 @@ class VertexLoopSpec:
             if ln > max_len:
                 acc = acc + _appendix_pow(r, t, bits)
         for f in self.families:
-            if t == 0:
-                raise DivergentTailError("divergent loop tail")
             m0 = f.count_up_to(max_len)  # first omitted member index
             rt = _appendix_pow(f.cycle_ratio, t, bits)
             acc = (acc + _appendix_pow(f.base_ratio, t, bits) * rt ** m0
-                   / _geometric_gap(rt))
+                   / _geometric_gap(rt, t))
         return acc
 
 

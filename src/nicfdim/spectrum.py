@@ -33,7 +33,7 @@ from functools import partial
 from itertools import islice
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .exactnum import Interval, float_down, float_up
+from .exactnum import DivergentTailError, Interval, float_down, float_up
 from .ledger import lemma_2_6_sides, phi_v_sides
 from .nicf_system import LoopLetter, vertex_alphabet
 from .pressure_dim import (
@@ -44,7 +44,6 @@ from .pressure_dim import (
     _sign_verdict,
     as_system,
     dim_interval,
-    is_divergent,
     partition_sum,
     pressure_bounds,
 )
@@ -131,6 +130,9 @@ def direct_lambda_comparison(f_small, f_large, t_grid: Sequence[Fraction], *,
     exponent).  Against a cofinite digit tail with 1/2 < t <= 1 the chain
     lambda_small <= Z_1(small) and lambda_large >= Z_1(large) / K_large
     decides at depth one; otherwise generic pressure bounds are compared.
+    Past the large side's exponent only the small side can diverge
+    (``DivergentTailError``); that t is reported indeterminate, with no
+    bounds.
     """
     small = as_system(f_small)
     large = as_system(f_large)
@@ -143,40 +145,30 @@ def direct_lambda_comparison(f_small, f_large, t_grid: Sequence[Fraction], *,
         if small == large:
             rows.append(ComparisonRow(t, "pass", "pressure"))
             continue
-        row = None
-        if t <= 1:
-            z1s = partition_sum(small, t, 1)
-            z1l = partition_sum(large, t, 1)
-            if not is_divergent(z1s) and not is_divergent(z1l):
-                rhs = z1l / large.k_interval()
+        try:
+            row = None
+            if t <= 1:
+                z1s = partition_sum(small, t, 1)
+                rhs = partition_sum(large, t, 1) / large.k_interval()
                 if z1s.hi <= rhs.lo:
                     row = ComparisonRow(t, "pass", "z1-chain",
                                         float_up(z1s.hi), float_down(rhs.lo))
-        if row is None:
-            row = _pressure_comparison(small, large, t, depth)
+            if row is None:
+                row = _pressure_comparison(small, large, t, depth)
+        except DivergentTailError:
+            row = ComparisonRow(t, "indeterminate", "pressure")
         rows.append(row)
     return rows
 
 
 def _pressure_comparison(small, large, t, depth) -> ComparisonRow:
-    best_hi = None
-    for n in small.ladder(depth, WORD_BUDGET):
-        pb = pressure_bounds(small, t, n)
-        if is_divergent(pb):
-            return ComparisonRow(t, "indeterminate", "pressure")
-        best_hi = pb.hi if best_hi is None else min(best_hi, pb.hi)
-    best_lo = None
-    for n in large.ladder(depth, WORD_BUDGET):
-        pb = pressure_bounds(large, t, n)
-        if is_divergent(pb):
-            return ComparisonRow(t, "pass", "divergence")
-        best_lo = pb.lo if best_lo is None else max(best_lo, pb.lo)
-    if best_hi is not None and best_lo is not None and best_hi <= best_lo:
-        return ComparisonRow(t, "pass", "pressure",
-                             float_up(best_hi), float_down(best_lo))
-    return ComparisonRow(t, "indeterminate", "pressure",
-                         None if best_hi is None else float_up(best_hi),
-                         None if best_lo is None else float_down(best_lo))
+    best_hi = min(pressure_bounds(small, t, n).hi
+                  for n in small.ladder(depth, WORD_BUDGET))
+    best_lo = max(pressure_bounds(large, t, n).lo
+                  for n in large.ladder(depth, WORD_BUDGET))
+    verdict = "pass" if best_hi <= best_lo else "indeterminate"
+    return ComparisonRow(t, verdict, "pressure",
+                         float_up(best_hi), float_down(best_lo))
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +264,15 @@ def construct(target, system: str, budget: int, depth: int) -> SpectrumTrace:
             accepted = tentative
         decisions.append(Decision(str(letter), ok, Fraction(0), target))
 
-    achieved = dim_interval(make(accepted), depth, _ACHIEVED_TOL,
-                            word_budget=_CONSTRUCT_WORD_BUDGET)
-    # the final set is the last accepted tentative set, whose P(target) <= 0
-    # certificate already bounds its dimension by the target
-    achieved = replace(achieved, hi=min(achieved.hi, target))
+    if accepted:
+        achieved = dim_interval(make(accepted), depth, _ACHIEVED_TOL,
+                                word_budget=_CONSTRUCT_WORD_BUDGET)
+        # the final set is the last accepted tentative set, whose
+        # P(target) <= 0 certificate already bounds its dimension by the target
+        achieved = replace(achieved, hi=min(achieved.hi, target))
+    else:  # no letter certified: the empty set has dimension 0
+        achieved = DimensionInterval(Fraction(0), Fraction(0), depth,
+                                     _ACHIEVED_TOL)
     return SpectrumTrace(
         target=target,
         system=system,

@@ -108,6 +108,25 @@ def test_pressure_divergent_rows(capsys):
     assert "inf" not in lines[2]
 
 
+def test_pressure_t_beyond_double_range_is_a_parse_error(capsys):
+    # t is printed as a double, so it must be a finite one
+    rc, out, err = run(capsys, "pressure", "--alphabet=3",
+                       "--t-grid", "1e400:1e400:1")
+    assert rc == 2 and out == "" and err.startswith("error:")
+
+
+def test_spectrum_with_no_certified_letter_is_indeterminate(capsys):
+    rc, out, _ = run(capsys, "spectrum", "--target", "1e-20",
+                     "--budget", "2", "--depth", "2")
+    assert rc == 3
+    payload = json.loads(out)
+    assert payload["final_F"] == []
+    assert payload["achieved"]["lo"] == payload["achieved"]["hi"] == 0.0
+    rc, out, _ = run(capsys, "spectrum", "--target", "1e-12",
+                     "--budget", "2", "--depth", "2")
+    assert rc == 0 and json.loads(out)["final_F"] == ["-3"]
+
+
 def test_spectrum_command(capsys):
     rc, out, _ = run(capsys, "spectrum", "--target", "0", "--system", "phi_f",
                      "--budget", "4", "--depth", "6")
@@ -149,6 +168,21 @@ def test_appendix_ratio_near_one_exits_numeric_range(capsys):
                        "--ratio", "0.99999999999999999999",
                        "--t-grid", "1/1000:1/1000:1")
     assert rc == 4 and out == "" and err.startswith("error:")
+
+
+def test_appendix_negative_t_prints_divergent_rows(capsys):
+    # v's loop family diverges at every t <= 0; w and z have single loops
+    rc, out, err = run(capsys, "appendix", "--example", "cycle4",
+                       "--t-grid", "-1/8:0:1/8")
+    assert rc == 0 and err == ""
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [(r[0], r[1]) for r in rows] == [
+        (t, v) for t in ("-0.125", "0.0") for v in "vwz"]
+    for row in rows:
+        if row[1] == "v":
+            assert row[2:] == ["inf"] * 4 + [""]
+        else:
+            assert "inf" not in row and row[-1] == "1"
 
 
 def test_outward_csv_rounding(capsys):

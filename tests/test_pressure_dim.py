@@ -8,7 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from nicfdim import pressure_dim
 from nicfdim.cf_core import Word
-from nicfdim.exactnum import NumericRangeError, exp_interval, pow_iv
+from nicfdim.exactnum import (
+    DivergentTailError,
+    NumericRangeError,
+    exp_interval,
+    pow_iv,
+)
 from nicfdim.nicf_system import LoopLetter, norm_bounds, letter_constants
 from nicfdim.pressure_dim import (
     DigitIfs,
@@ -18,7 +23,6 @@ from nicfdim.pressure_dim import (
     classify_nature,
     dim_interval,
     finiteness_exponent,
-    is_divergent,
     partition_sum,
     pressure_bounds,
     vertex_system,
@@ -49,8 +53,10 @@ def test_partition_zero_exponent_counts_words():
 
 def test_partition_cofinite_divergence_flag():
     cof = AlphabetSelection.cofinite(3, 40)
-    assert is_divergent(partition_sum(cof, F(1, 2), 1))
-    assert is_divergent(partition_sum(cof, F(1, 4), 2))
+    with pytest.raises(DivergentTailError):
+        partition_sum(cof, F(1, 2), 1)
+    with pytest.raises(DivergentTailError):
+        partition_sum(cof, F(1, 4), 2)
     z = partition_sum(cof, F(3, 4), 1)
     assert z.lo > 2  # the tail is genuinely included
 
@@ -249,14 +255,16 @@ def test_vertex_tail_bound_monotone():
     base = vertex_tail_bound(t, 4, 20)
     assert vertex_tail_bound(t, 6, 20).hi <= base.hi
     assert vertex_tail_bound(t, 4, 40).hi <= base.hi
-    assert is_divergent(vertex_tail_bound(F(1, 2), 4, 20))
+    with pytest.raises(DivergentTailError):
+        vertex_tail_bound(F(1, 2), 4, 20)
 
 
 def test_vertex_system_partition():
     vs = vertex_system(5, 15)
     z = partition_sum(vs, F(3, 4), 1)
     assert z.lo > 0 and z.hi > z.lo
-    assert is_divergent(partition_sum(vs, F(1, 2), 1))
+    with pytest.raises(DivergentTailError):
+        partition_sum(vs, F(1, 2), 1)
     z2 = partition_sum(vs, F(3, 4), 2)
     assert z2.lo > 0
 
@@ -311,6 +319,16 @@ def test_appendix_cycle4_pressure_ordering():
         pv = ap.closed_pressure("v", t, bits=128)
         pw = ap.closed_pressure("w", t, bits=128)
         assert pv.hi < pw.lo
+
+
+def test_appendix_loop_family_diverges_at_negative_t():
+    # every member of v's loop family has ratio**t >= 1 at t <= 0, so the
+    # family sum diverges; it is no precision failure
+    ap = appendix_example("cycle4", {e: F(1, 3) for e in (1, 2, 3, 4)})
+    with pytest.raises(DivergentTailError):
+        ap.closed_pressure("v", F(-1, 8))
+    # w and z have single loops only: finite at every t
+    assert ap.closed_pressure("w", F(-1, 8)).hi < 2
 
 
 def _graph_pressure_oracle(ap, t):
@@ -377,7 +395,8 @@ def test_similarity_ratio_near_one_is_out_of_range_not_divergent():
     # every ratio is below 1, so the family converges at every t > 0; a
     # float enclosure of ratio**t that reaches 1 is a precision failure
     system = SimilarityIfs(families=((F(1, 10 ** 300), 1 - F(1, 10 ** 20)),))
-    assert is_divergent(partition_sum(system, 0, 1))
+    with pytest.raises(DivergentTailError):
+        partition_sum(system, 0, 1)
     with pytest.raises(NumericRangeError):
         partition_sum(system, F(1, 2), 1)
     with pytest.raises(NumericRangeError):
@@ -454,11 +473,14 @@ _DIGIT_SELECTIONS = st.one_of(
 @given(sel=_DIGIT_SELECTIONS, t=_SIXTEENTHS,
        depths=st.tuples(st.integers(1, 4), st.integers(1, 4)))
 def test_pressure_brackets_at_two_depths_intersect(sel, t, depths):
-    # both brackets enclose the one pressure P(t)
-    a, b = (pressure_bounds(sel, t, n) for n in depths)
-    if is_divergent(a):
-        assert is_divergent(b) and sel.is_cofinite and t <= F(1, 2)
+    # both brackets enclose the one pressure P(t); both depths diverge
+    # exactly when the alphabet is cofinite and t <= theta = 1/2
+    if sel.is_cofinite and t <= F(1, 2):
+        for n in depths:
+            with pytest.raises(DivergentTailError):
+                pressure_bounds(sel, t, n)
         return
+    a, b = (pressure_bounds(sel, t, n) for n in depths)
     assert max(a.lo, b.lo) <= min(a.hi, b.hi)
 
 
@@ -477,8 +499,11 @@ def _nonneg_at_some_depth(sel, t, depth):
     system = pressure_dim.as_system(sel)
     k_t = pow_iv(system.k_interval().hi, t).hi
     for n in system.ladder(depth, pressure_dim.WORD_BUDGET):
-        z = partition_sum(system, t, n)
-        if is_divergent(z) or z.lo >= k_t:
+        try:
+            z = partition_sum(system, t, n)
+        except DivergentTailError:
+            return n
+        if z.lo >= k_t:
             return n
     return None
 
@@ -488,8 +513,9 @@ def _nonpos_at_some_depth(sel, t, depth):
     certificates ignored; None if none does."""
     system = pressure_dim.as_system(sel)
     for n in system.ladder(depth, pressure_dim.WORD_BUDGET):
-        z = partition_sum(system, t, n)
-        if is_divergent(z):
+        try:
+            z = partition_sum(system, t, n)
+        except DivergentTailError:
             return None
         if z.hi <= 1:
             return n

@@ -79,6 +79,19 @@ def test_direct_comparison_grid():
     assert all(r.method == "z1-chain" for r in rows[2:])
 
 
+def test_direct_comparison_divergent_small_side():
+    # past the large side's exponent only the small side can diverge: such
+    # a t is indeterminate with no bounds, the first convergent t has both
+    small = DigitIfs(AlphabetSelection.cofinite(3, 10))
+    large = DigitIfs(AlphabetSelection.explicit([3, 4]))
+    rows = direct_lambda_comparison(small, large, [F(1, 4), F(1, 2), F(3, 4)])
+    for row in rows[:2]:
+        assert (row.verdict, row.method) == ("indeterminate", "pressure")
+        assert row.lhs_hi is None and row.rhs_lo is None
+    assert rows[2].method == "pressure"
+    assert isinstance(rows[2].lhs_hi, float) and isinstance(rows[2].rhs_lo, float)
+
+
 def test_direct_comparison_reflexive():
     sel = DigitIfs(AlphabetSelection.explicit([-3, 3]))
     rows = direct_lambda_comparison(sel, sel, [F(3, 4)])
@@ -107,6 +120,17 @@ def test_construct_target_zero():
     assert trace.decisions[0].accepted is True
     assert all(not d.accepted for d in trace.decisions[1:])
     assert trace.achieved.lo == 0 and trace.achieved.hi <= F(1, 100)
+
+
+def test_construct_with_no_certified_letter():
+    # at target 1e-20 the float lane cannot show Z_n <= 1 even for {-3}:
+    # nothing is accepted, and the empty set has dimension 0
+    trace = construct(F("1e-20"), "phi_f", budget=2, depth=2)
+    assert trace.final_letters == ()
+    assert (trace.achieved.lo, trace.achieved.hi) == (0, 0)
+    # a target the float lane resolves still keeps -3
+    trace = construct(F("1e-12"), "phi_f", budget=2, depth=2)
+    assert trace.final_letters == ("-3",)
 
 
 def test_construct_target_one_accepts_all():
