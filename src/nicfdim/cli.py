@@ -17,15 +17,16 @@ or partition sum outside the range of the float lane).  A divergent sum
 is a result, not an error: ``pressure`` prints ``inf`` at every t at or
 below theta, and ``appendix`` prints ``inf`` rows for a vertex with a
 loop family at every t <= 0.  Every ``--t-grid`` start, stop and step
-must be a finite double, as t is printed as one.  ``--threads`` is
-accepted and has no effect.  ``--depth``, ``--budget``, ``--count``,
+must be a finite double, as t is printed as one, and a grid holds at
+most 100,000 points (checked before any row is computed).  ``--threads``
+is accepted and has no effect.  ``--depth``, ``--budget``, ``--count``,
 ``--bits``, ``--max-len`` and ``--digits`` are checked to be at least 1
 when the arguments are parsed.  Alphabet specs are parsed for syntax
 only; the alphabet rules are ``AlphabetSelection``'s.  ``--bits`` is an
 ``appendix`` option only (the precision of the worked examples' exact
 roots); ``dim``, ``pressure`` and ``spectrum`` enclose the distortion
-constant K at one fixed precision (``k_interval()`` takes no argument),
-so no option sets it.  ``main`` builds its parser once per process and reuses it.  All
+constant K at one fixed precision (128-bit surds), so no option sets
+it.  ``main`` builds its parser once per process and reuses it.  All
 numeric CSV fields are shortest-round-trip doubles rounded outward from
 the exact rational bounds, so downstream consumers keep two-sided rigor.
 """
@@ -129,6 +130,9 @@ def _parse_rational(s: str) -> Fraction:
         raise ValueError(f"not a rational: {s!r} ({exc})")
 
 
+_MAX_GRID_POINTS = 100_000
+
+
 def _parse_t_grid(spec: str) -> List[Fraction]:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -140,12 +144,10 @@ def _parse_t_grid(spec: str) -> List[Fraction]:
         raise ValueError("t-grid values must be finite doubles") from None
     if step <= 0:
         raise ValueError("t-grid step must be positive")
-    out = []
-    t = a
-    while t <= b:
-        out.append(t)
-        t += step
-    return out
+    count = max((b - a) // step + 1, 0)
+    if count > _MAX_GRID_POINTS:
+        raise ValueError(f"t-grid has {count:,} points, over {_MAX_GRID_POINTS:,}")
+    return [a + i * step for i in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -169,29 +169,16 @@ def integer_nth_root(n: int, k: int) -> int:
 # surd enclosures
 # ---------------------------------------------------------------------------
 
-def sqrt_enclosure(n: int, bits: int) -> Interval:
-    """Dyadic enclosure of sqrt(n) of width exactly 2**-bits (or a point).
-
-    The lower endpoint is the exact integer square root of n * 4**bits,
-    scaled back; the bracket [s, s+1] at that scale is the integer-Newton
-    bracket, so the enclosure width halves exactly per extra bit.
-    """
-    if n < 0:
-        raise ValueError("negative radicand")
-    scale = 1 << bits
-    s = math.isqrt(n << (2 * bits))
-    if s * s == n << (2 * bits):
-        return Interval.point(Fraction(s, scale))
-    return Interval(Fraction(s, scale), Fraction(s + 1, scale))
-
-
 def surd_enclosure(n: int, bits: int) -> Interval:
-    """Certified enclosure of sqrt(n) for n in {2, 3, 5}; width <= 2**(1-bits)."""
+    """Dyadic enclosure [s, s + 1] / 2**bits of sqrt(n) for n in {2, 3, 5},
+    s = isqrt(n * 4**bits): n is no perfect square, so sqrt(n) lies inside,
+    and the width 2**-bits halves exactly per extra bit."""
     if n not in _SUPPORTED_SURDS:
         raise ValueError("unsupported surd")
     if bits < 1:
         raise ValueError("need bits >= 1")
-    return sqrt_enclosure(n, bits)
+    s = math.isqrt(n << (2 * bits))
+    return Interval(Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits))
 
 
 # ---------------------------------------------------------------------------

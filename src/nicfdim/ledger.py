@@ -3,9 +3,10 @@
 Every case is decided purely in rational/surd interval arithmetic (no
 floating point anywhere on this path): a verdict "holds" requires the
 upper end of the left side to sit strictly at or below the lower end of
-the right side, "fails" the reverse, and anything undecided escalates
-the tail term count and surd precision until it separates (all margins
-here are bounded away from zero, so escalation terminates).
+the right side, "fails" the reverse.  Sides with an l-sum escalate its
+tail term count until they separate (all margins here are bounded away
+from zero); other overlapping sides raise.  The surds are fixed once, at
+``nicf_system.SURD_BITS``.
 
 This module is the one home of each inequality's sides: the letter
 constants of ``spectrum.mme_check`` are ``lemma_2_6_sides`` (phi_f) and
@@ -28,7 +29,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .cf_core import Word
 from .exactnum import Interval, surd_enclosure, tail_sum_enclosure
@@ -43,10 +44,7 @@ from .nicf_system import (
     run_factor_interval,
 )
 
-_ESCALATION: Tuple[Tuple[int, int], ...] = (
-    (0, 128), (2, 128), (4, 128), (8, 128), (16, 128),
-    (32, 256), (64, 512), (128, 1024), (256, 2048), (512, 4096),
-)
+_ESCALATION = (0, 2, 4, 8, 16, 32, 64, 128, 256, 512)  # tail term counts
 
 # the last k, j or r of every swept case
 _SWEEP_END = 200
@@ -86,29 +84,34 @@ class LedgerResult:
         return out
 
 
-def _decide(sides: Callable[[int, int], Tuple[Interval, Interval]]
-            ) -> Tuple[str, Interval, Interval]:
-    """Escalate (terms, bits) until the comparison lhs <= rhs separates.
+def _verdict(lhs: Interval, rhs: Interval) -> Optional[str]:
+    """HOLDS if lhs.hi <= rhs.lo, FAILS if lhs.lo > rhs.hi, else None."""
+    return HOLDS if lhs.hi <= rhs.lo else (FAILS if lhs.lo > rhs.hi else None)
 
-    ``sides(terms, bits)`` returns (lhs, rhs).  Not shared with
+
+def _decide(sides: Callable[[int], Tuple[Interval, Interval]]
+            ) -> Tuple[str, Interval, Interval]:
+    """Escalate the tail terms until the comparison lhs <= rhs separates.
+
+    ``sides(terms)`` returns (lhs, rhs).  Not shared with
     ``spectrum.mme_check``: the ledger certifies the displayed non-strict
     lhs <= rhs and escalates further, while the letter-addition criterion
     needs the strict M_b < 2 sum m_c."""
-    lhs = rhs = None
-    for terms, bits in _ESCALATION:
-        lhs, rhs = sides(terms, bits)
-        if lhs.hi <= rhs.lo:
-            return HOLDS, lhs, rhs
-        if lhs.lo > rhs.hi:
-            return FAILS, lhs, rhs
+    for terms in _ESCALATION:
+        lhs, rhs = sides(terms)
+        if verdict := _verdict(lhs, rhs):
+            return verdict, lhs, rhs
     raise ArithmeticError("comparison undecided at the escalation cap")
 
 
 def _row(params: Mapping[str, int], lhs: Interval, rhs: Interval,
          variant: str = "main") -> SweepRow:
-    """The row of one instance of lhs <= rhs: it holds iff lhs.hi <= rhs.lo."""
-    return SweepRow(params, HOLDS if lhs.hi <= rhs.lo else FAILS, rhs - lhs,
-                    variant)
+    """The row of one instance of lhs <= rhs: it holds iff lhs.hi <= rhs.lo
+    and fails iff lhs.lo > rhs.hi; overlapping sides raise."""
+    verdict = _verdict(lhs, rhs)
+    if verdict is None:
+        raise ArithmeticError("comparison undecided: the sides overlap")
+    return SweepRow(params, verdict, rhs - lhs, variant)
 
 
 def _decreasing(values: Sequence[Fraction]) -> bool:
@@ -145,15 +148,15 @@ def weighted_tail(m: int, num: Tuple[int, int], den: Tuple[int, int],
     return Interval(lo + w_lo * t.lo, hi + w_hi * t.hi)
 
 
-def lemma_2_6_sides(k: int, terms: int, bits: int) -> Tuple[Interval, Interval]:
+def lemma_2_6_sides(k: int, terms: int) -> Tuple[Interval, Interval]:
     """(9/4)(k - a)^-2 and (8/9) sum_{j>=k+1} (j + a)^-2, a = (3 - sqrt5)/2:
     the digit-sum lemma, which is also M_k < 2 sum m_c for phi_f."""
-    a = alpha_interval(bits)
+    a = alpha_interval()
     return (Fraction(9, 4) * ((k - a) ** 2).reciprocal(),
             Fraction(8, 9) * tail_sum_enclosure(k + 1, a, 1, terms=terms))
 
 
-def phi_v_sides(j: int, k: int, terms: int, bits: int) -> Tuple[Interval, Interval]:
+def phi_v_sides(j: int, k: int, terms: int) -> Tuple[Interval, Interval]:
     """M_b and 2 * the successor m-sum for the phi_v loop letter b = 2^j k
     (either sign; j = 0 is the plain digit k >= 4)."""
     if j > 0 or k >= 6:
@@ -161,7 +164,7 @@ def phi_v_sides(j: int, k: int, terms: int, bits: int) -> Tuple[Interval, Interv
         first = j + 1 if j > k else (k + 2 if j else k + 1)
         return (Interval.point(K_GLOBAL * Fraction(1, 4) ** j / (k - HALF) ** 2),
                 Fraction(18, 25) * plain_tail(first, terms))
-    g = run_factor_interval(bits)
+    g = run_factor_interval()
     if k == 5:
         # sharper distortion over the preceding letters, and the run
         # letters 2^r l with l >= 6 join the successor sum
@@ -170,7 +173,7 @@ def phi_v_sides(j: int, k: int, terms: int, bits: int) -> Tuple[Interval, Interv
     if k != 4:
         raise ValueError("phi_v letter constants need k >= 4 when j = 0")
     # M_4 = K_{prec 4} * ||phi_4'||, the run weights (3l+5)/(5l+7)
-    return (k_prec4_interval(bits) * Fraction(4, 49),
+    return (k_prec4_interval() * Fraction(4, 49),
             2 * weighted_tail(5, (3, 5), (5, 7), terms)
             + Fraction(18, 25) * g * plain_tail(3, terms))
 
@@ -183,16 +186,17 @@ def _case_lemma_2_6() -> LedgerResult:
     rows: List[SweepRow] = []
     held: List[Tuple[Interval, Interval]] = []
     any_reduced_fail = False
+    a = alpha_interval()
     for k in range(4, _SWEEP_END + 1):
         v_full, lhs, rhs = _decide(partial(lemma_2_6_sides, k))
-        v_red, lhs_r, rhs_r = _decide(lambda terms, bits: (
-            Fraction(9, 4) * ((k - alpha_interval(bits)) ** 2).reciprocal(),
-            Fraction(8, 9) * (k + 1 + alpha_interval(bits)).reciprocal()))
-        if v_red == FAILS:
+        reduced = _row({"k": k}, Fraction(9, 4) * ((k - a) ** 2).reciprocal(),
+                       Fraction(8, 9) * (k + 1 + a).reciprocal(), "reduced")
+        if reduced.verdict == FAILS:
             any_reduced_fail = True
-        row_verdict = v_full if v_full != HOLDS or v_red == HOLDS else EXACT_SUM_ONLY
+        row_verdict = (v_full if v_full != HOLDS or reduced.verdict == HOLDS
+                       else EXACT_SUM_ONLY)
         rows.append(SweepRow({"k": k}, row_verdict, rhs - lhs, "full"))
-        rows.append(_row({"k": k}, lhs_r, rhs_r, "reduced"))
+        rows.append(reduced)
         if v_full == HOLDS:
             held.append((lhs, rhs))
     full_all = all(r.verdict in (HOLDS, EXACT_SUM_ONLY) for r in rows if r.variant == "full")
@@ -260,10 +264,9 @@ def _case_esti() -> LedgerResult:
 def _case_pm5() -> LedgerResult:
     ks = range(5, _SWEEP_END + 1)
     vals = [Fraction(32, 9) * (k + Fraction(3, 2)) / (k - HALF) ** 2 for k in ks]
-    sides = [_decide(lambda terms, bits, v=v: (
-        Interval.point(v), 1 + run_factor_interval(bits)))[1:] for v in vals]
-    rows = [_row({"k": k}, lhs, rhs) for k, (lhs, rhs) in zip(ks, sides)]
-    lhs, rhs = sides[0]  # k = 5
+    rhs = 1 + run_factor_interval()
+    rows = [_row({"k": k}, Interval.point(v), rhs) for k, v in zip(ks, vals)]
+    lhs = Interval.point(vals[0])  # k = 5
     return LedgerResult(
         "case_pm5",
         "(25/18)(8/5)^2 (k + 3/2)(k - 1/2)^-2 <= "
@@ -275,17 +278,16 @@ def _case_pm5() -> LedgerResult:
 
 
 def _case_pm4() -> LedgerResult:
-    def printed(terms, bits):
+    def printed(terms):
         # the printed final display: squared norm on the left, weights
         # (3l+2)/(5l+2)
         terms = max(terms, 64)
-        return (k_prec4_interval(bits) * Fraction(4, 49) ** 2,
+        return (k_prec4_interval() * Fraction(4, 49) ** 2,
                 2 * weighted_tail(5, (3, 2), (5, 2), terms)
-                + Fraction(18, 25) * run_factor_interval(bits) * plain_tail(3, terms))
+                + Fraction(18, 25) * run_factor_interval() * plain_tail(3, terms))
 
     # derivation constants: the phi_v letter constants of the digit 4
-    v_main, lhs, rhs = _decide(
-        lambda terms, bits: phi_v_sides(0, 4, max(terms, 64), bits))
+    v_main, lhs, rhs = _decide(lambda terms: phi_v_sides(0, 4, max(terms, 64)))
     rows = (_row({"k": 4}, lhs, rhs), _row({"k": 4}, *_decide(printed)[1:], "printed"))
     return LedgerResult(
         "case_pm4",
@@ -305,11 +307,9 @@ def _case_pm4() -> LedgerResult:
 
 def _case_letter3() -> LedgerResult:
     rhs = Interval.point(Fraction(25, 49))
-    _, lhs_p, _ = _decide(lambda terms, bits: (
-        Fraction(2, 7) * k4_printed_interval(bits), rhs))
-    _, lhs_c, _ = _decide(lambda terms, bits: (
-        Fraction(2, 7) * k4_corrected_interval(bits), rhs))
-    rows = (_row({}, lhs_p, rhs, "printed"), _row({}, lhs_c, rhs, "corrected"))
+    lhs_c = Fraction(2, 7) * k4_corrected_interval()
+    rows = (_row({}, Fraction(2, 7) * k4_printed_interval(), rhs, "printed"),
+            _row({}, lhs_c, rhs, "corrected"))
     return LedgerResult(
         "case_letter3",
         "(5/7)^2 >= (2/7) K_4 with K_4 = ((4-sqrt3)/(1+sqrt3))^2 as printed; "

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import count, islice
 from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
@@ -33,6 +33,7 @@ from .symbolic import GraphSystem
 
 K_GLOBAL = Fraction(25, 9)       # distortion for words ending in a digit of size >= 3
 K_PREC5 = Fraction(64, 25)       # (8/5)**2, words over letters preceding +-5
+SURD_BITS = 128                  # the one precision of every surd constant below
 
 X_V = (-HALF, HALF)
 X_W = (Fraction(0), HALF)
@@ -50,16 +51,16 @@ def domain_of_digit(d: int) -> Tuple[Fraction, Fraction]:
     raise ValueError(f"not a nearest-integer digit: {d}")
 
 
-@lru_cache(maxsize=8)
-def alpha_interval(bits: int = 96) -> Interval:
+@cache
+def alpha_interval() -> Interval:
     """(3 - sqrt(5)) / 2, the supremum of |q_(n-1)/q_n| over digits >= 3."""
-    return (3 - surd_enclosure(5, bits)) * HALF
+    return (3 - surd_enclosure(5, SURD_BITS)) * HALF
 
 
-@lru_cache(maxsize=8)
-def beta4_interval(bits: int = 96) -> Interval:
+@cache
+def beta4_interval() -> Interval:
     """2 - sqrt(3), the ratio supremum over digits of size >= 4."""
-    return 2 - surd_enclosure(3, bits)
+    return 2 - surd_enclosure(3, SURD_BITS)
 
 
 def distortion_from_ratio(beta: Interval) -> Interval:
@@ -67,23 +68,23 @@ def distortion_from_ratio(beta: Interval) -> Interval:
     return ((2 + beta) / (2 - beta)) ** 2
 
 
-@lru_cache(maxsize=8)
-def k_prec4_interval(bits: int = 96) -> Interval:
+@cache
+def k_prec4_interval() -> Interval:
     """((7 - sqrt5)/(1 + sqrt5))**2: distortion over words preceding +-4."""
-    s5 = surd_enclosure(5, bits)
+    s5 = surd_enclosure(5, SURD_BITS)
     return ((7 - s5) / (1 + s5)) ** 2
 
 
-@lru_cache(maxsize=8)
-def run_factor_interval(bits: int = 96) -> Interval:
+@cache
+def run_factor_interval() -> Interval:
     """g = sum_{r>=1} [(3/2 + sqrt2)(1 + sqrt2)**(r-1)]**-2
          = (1 + sqrt2) / (2 (3/2 + sqrt2)**2): the run letters' weight."""
-    s2 = surd_enclosure(2, bits)
+    s2 = surd_enclosure(2, SURD_BITS)
     return (1 + s2) / (2 * (Fraction(3, 2) + s2) ** 2)
 
 
-@lru_cache(maxsize=8)
-def k4_printed_interval(bits: int = 96) -> Interval:
+@cache
+def k4_printed_interval() -> Interval:
     """((4 - sqrt3)/(1 + sqrt3))**2, the constant as displayed.
 
     The display simplifies ((1 + (2-sqrt3)/2)/(1 - (2-sqrt3)/2))**2
@@ -91,14 +92,14 @@ def k4_printed_interval(bits: int = 96) -> Interval:
     constant); see ``k4_corrected_interval`` for the consistent value.
     Kept verbatim because the letter-3 chain is stated with it.
     """
-    s3 = surd_enclosure(3, bits)
+    s3 = surd_enclosure(3, SURD_BITS)
     return ((4 - s3) / (1 + s3)) ** 2
 
 
-@lru_cache(maxsize=8)
-def k4_corrected_interval(bits: int = 96) -> Interval:
+@cache
+def k4_corrected_interval() -> Interval:
     """((4 - sqrt3)/sqrt3)**2 = distortion_from_ratio(2 - sqrt3)."""
-    return distortion_from_ratio(beta4_interval(bits))
+    return distortion_from_ratio(beta4_interval())
 
 
 @dataclass(frozen=True)
@@ -110,13 +111,13 @@ class SystemConstants:
     k4: Interval
 
     @staticmethod
-    def default(bits: int = 96) -> "SystemConstants":
+    def default() -> "SystemConstants":
         return SystemConstants(
-            alpha=alpha_interval(bits),
+            alpha=alpha_interval(),
             k_global=K_GLOBAL,
             k_prec5=K_PREC5,
-            k_prec4=k_prec4_interval(bits),
-            k4=k4_printed_interval(bits),
+            k_prec4=k_prec4_interval(),
+            k4=k4_printed_interval(),
         )
 
 
@@ -230,7 +231,7 @@ def vertex_alphabet(budget: int) -> List[LoopLetter]:
     return list(islice(_block_order(), budget))
 
 
-def letter_constants(b: Union[int, LoopLetter], bits: int = 96) -> Tuple[Interval, Interval]:
+def letter_constants(b: Union[int, LoopLetter]) -> Tuple[Interval, Interval]:
     """(m_b, M_b) for a plain digit |b| >= 3 or a loop letter.
 
     Plain letters use the sharpened pair
@@ -244,12 +245,12 @@ def letter_constants(b: Union[int, LoopLetter], bits: int = 96) -> Tuple[Interva
     if isinstance(b, int):
         if abs(b) < 3:
             raise ValueError("constants defined on F")
-        a = alpha_interval(bits)
+        a = alpha_interval()
         mag = abs(b)
         big = (Fraction(3, 2) / (mag - a)) ** 2
         small = (Fraction(2, 3) / (mag + a)) ** 2
         return small, big
-    s2 = surd_enclosure(2, bits)
+    s2 = surd_enclosure(2, SURD_BITS)
     j, k = b.j, b.k
     big_i = Interval.point(K_GLOBAL * Fraction(1, 4) ** j / (k - HALF) ** 2)
     growth = (Fraction(3, 2) + s2) * (1 + s2) ** (j - 1)

@@ -34,9 +34,9 @@ same members: ``letter_count``, ``infinite_alphabet``, ``theta``,
 ``k_interval()``, ``ladder(max_depth, word_budget)`` and
 ``partition_sum_body(t, n)``; the functions below call those
 instead of asking which kind of system they hold.  ``k_interval()``
-encloses K at one fixed precision (96-bit surds): K enters the bounds
-only through ``log K`` in doubles or ``K**t``, so a finer surd would
-move no bound by more than about 2**-90.
+encloses K with 128-bit surds (``nicf_system.SURD_BITS``): K enters the
+bounds only through ``log K`` in doubles or ``K**t``, so a finer surd
+would move no bound by more than about 2**-120.
 """
 
 from __future__ import annotations
@@ -197,7 +197,16 @@ class LoopIfs(_WordTreeIfs):
 
 def vertex_system(j_max: int, k_max: int) -> LoopIfs:
     """The full induced system at v, truncated to runs j <= j_max and
-    terminal digits k <= k_max, with a rigorous tail."""
+    terminal digits k <= k_max, with a rigorous tail.
+
+    The loop cylinders phi_w(X_v) tile X_v = [-1/2, 1/2]: an irrational x
+    in X_v has one NICF expansion, whose digits up to the first of size
+    >= 3 form exactly one loop letter 2^j k (the sign rule keeps the run
+    and k of one sign), except for the two x with all digits +-2.  So the
+    cylinder lengths sum to |X_v| = 1; a letter's length is at most its
+    sup |phi_w'|, so the kept letters cover at least
+    1 - vertex_tail_bound(1, j_max, k_max).hi of X_v.
+    """
     if j_max < 0 or k_max < 3:
         raise ValueError("need j_max >= 0 and k_max >= 3")
     letters = tuple(

@@ -8,7 +8,7 @@ m_b ||phi'_{w w'}|| <= ||phi'_{w b w'}|| <= M_b ||phi'_{w w'}||.
 ``mme_check`` certifies exactly that sum inequality with enclosed
 margins.  It states no side of its own: it picks the ledger's sides for
 the letter (``ledger.lemma_2_6_sides`` for phi_f, ``ledger.phi_v_sides``
-for phi_v) and escalates their precision.  The first letters (+-3),
+for phi_v) and escalates their tail terms.  The first letters (+-3),
 where the criterion has no room, are handled by
 ``direct_lambda_comparison`` instead.
 
@@ -67,7 +67,7 @@ class MmeVerdict:
         return self.rhs - self.lhs
 
 
-_ESCALATION = ((4, 128), (8, 128), (16, 128), (32, 256), (64, 256), (128, 512))
+_ESCALATION = (4, 8, 16, 32, 64, 128)  # tail term counts
 
 
 def mme_check(b: Union[int, LoopLetter], system: str) -> MmeVerdict:
@@ -78,8 +78,8 @@ def mme_check(b: Union[int, LoopLetter], system: str) -> MmeVerdict:
     'phi_v' (the induced vertex alphabet in block order; the sides are
     ``ledger.phi_v_sides``).  Letters +-3 of
     either system return the direct-comparison signal instead of a
-    verdict.  Each step of ``_ESCALATION`` sets the tail terms and surd
-    bits; the first step whose sides separate strictly decides.
+    verdict.  Each step of ``_ESCALATION`` sets the tail terms; the first
+    step whose sides separate strictly decides.
     """
     if system not in ("phi_f", "phi_v"):
         raise ValueError("system must be phi_f or phi_v")
@@ -100,8 +100,8 @@ def mme_check(b: Union[int, LoopLetter], system: str) -> MmeVerdict:
 
     if j == 0 and k == 3:
         return MmeVerdict(str(b), None, None, None, DIRECT_COMPARISON)
-    for terms, bits in _ESCALATION:
-        lhs, rhs = sides(terms, bits)
+    for terms in _ESCALATION:
+        lhs, rhs = sides(terms)
         if lhs.hi < rhs.lo:
             return MmeVerdict(str(b), True, lhs, rhs)
         if lhs.lo > rhs.hi:

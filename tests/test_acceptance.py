@@ -89,7 +89,7 @@ def test_criterion_04_lemma_2_6_audit(capsys):
 def test_criterion_05_exact_word_properties(capsys):
     t0 = time.perf_counter()
     rng = random.Random(2024)
-    a_hi = alpha_interval(96).hi
+    a_hi = alpha_interval().hi
     xs = [F(-1, 2), F(-1, 4), F(0), F(1, 4), F(1, 2)]
     violations = 0
     for _ in range(10_000):

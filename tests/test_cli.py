@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nicfdim.cli import main, parse_alphabet_spec, SpecParseError
+from nicfdim.cli import _parse_t_grid, main, parse_alphabet_spec, SpecParseError
 
 
 def run(capsys, *argv):
@@ -113,6 +113,22 @@ def test_pressure_t_beyond_double_range_is_a_parse_error(capsys):
     rc, out, err = run(capsys, "pressure", "--alphabet=3",
                        "--t-grid", "1e400:1e400:1")
     assert rc == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("cmd", [["pressure", "--alphabet=3"],
+                                 ["appendix", "--example", "cycle4"]])
+def test_oversized_t_grid_is_a_parse_error(capsys, cmd):
+    # 10**9 + 1 points: refused before any row is computed
+    rc, out, err = run(capsys, *cmd, "--t-grid", "0:1:1e-9")
+    assert rc == 2 and out == "" and "1,000,000,001 points" in err
+
+
+def test_t_grid_point_limit():
+    assert len(_parse_t_grid("0:99999:1")) == 100_000
+    with pytest.raises(ValueError, match="100,001 points"):
+        _parse_t_grid("0:100000:1")
+    assert _parse_t_grid("0.5:0.2:0.1") == []
+    assert _parse_t_grid("-1:2:1/7")[8] == F(1, 7)
 
 
 def test_spectrum_with_no_certified_letter_is_indeterminate(capsys):

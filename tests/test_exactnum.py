@@ -111,7 +111,7 @@ def test_k4_propagation_through_surd_endpoints():
     assert k4_lo - F(1, 10 ** 25) <= oracle <= k4_hi + F(1, 10 ** 25)
     # and the library constant built from Interval arithmetic agrees
     from nicfdim.nicf_system import k4_printed_interval
-    k4 = k4_printed_interval(64)
+    k4 = k4_printed_interval()
     assert k4.lo <= oracle + F(1, 10 ** 25) and oracle - F(1, 10 ** 25) <= k4.hi
 
 
@@ -194,7 +194,7 @@ def test_tail_known_rational_case():
 def test_tail_against_partial_sum_oracle():
     # k=5, c=(3-sqrt5)/2, s=1: 1e5 explicit terms plus integral remainder
     from nicfdim.nicf_system import alpha_interval
-    a = alpha_interval(96)
+    a = alpha_interval()
     iv = tail_sum_enclosure(5, a, 1, terms=4)
     c = float(a.lo)
     partial = math.fsum((j + c) ** -2 for j in range(5, 100_000))

@@ -5,7 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from nicfdim.exactnum import Interval
 from nicfdim.ledger import (
+    _row,
     case_ids,
     phi_v_sides,
     plain_tail,
@@ -14,6 +16,14 @@ from nicfdim.ledger import (
     run_case,
 )
 from nicfdim.nicf_system import vertex_alphabet
+
+
+def test_row_refuses_overlapping_sides():
+    # an undecided comparison must never print "fails"
+    with pytest.raises(ArithmeticError):
+        _row({"k": 4}, Interval(F(1), F(3)), Interval(F(2), F(4)))
+    assert _row({}, Interval.point(F(1)), Interval.point(F(1))).verdict == "holds"
+    assert _row({}, Interval(F(3), F(4)), Interval.point(F(2))).verdict == "fails"
 
 
 def test_unknown_case_lists_ids():
@@ -130,6 +140,6 @@ def test_phi_v_successor_rule_follows_block_order():
             continue
         first = j + 1 if j > k else (k + 2 if j else k + 1)
         assert all(pos > i for l, pos in plain_at.items() if abs(l) >= first)
-        assert phi_v_sides(j, k, 4, 128)[1] == F(18, 25) * plain_tail(first, 4)
+        assert phi_v_sides(j, k, 4)[1] == F(18, 25) * plain_tail(first, 4)
         checked += 1
     assert checked > 1900

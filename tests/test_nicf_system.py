@@ -18,10 +18,12 @@ from nicfdim.nicf_system import (
     distortion_constant,
     g_ratio,
     k4_corrected_interval,
+    k4_printed_interval,
     k_prec4_interval,
     letter_constants,
     nicf_barred_graph,
     norm_bounds,
+    run_factor_interval,
     vertex_alphabet,
 )
 from nicfdim.spectrum import phi_f_ordering
@@ -100,7 +102,7 @@ def test_distortion_words_preceding_5():
 
 def test_ratio_bounds_lemmas():
     rng = random.Random(19)
-    a = alpha_interval(96)
+    a = alpha_interval()
     for _ in range(500):
         w = random_f_word(rng)
         ratio = w.q_ratio()
@@ -112,7 +114,7 @@ def test_ratio_bounds_lemmas():
 
 def test_g_ratio_bounds():
     rng = random.Random(23)
-    a = alpha_interval(96)
+    a = alpha_interval()
     xs = [F(-1, 2), F(-1, 4), F(0), F(1, 4), F(1, 2)]
     for _ in range(300):
         w = random_f_word(rng, max_len=15)
@@ -146,7 +148,7 @@ def test_fixed_point_expansions():
 
 
 def test_system_constants_widths():
-    c = SystemConstants.default(96)
+    c = SystemConstants.default()
     for iv in (c.alpha, c.k_prec4, c.k4):
         assert iv.width <= F(1, 2 ** 48)
     assert c.k_global == F(25, 9)
@@ -154,15 +156,24 @@ def test_system_constants_widths():
     # the printed K_4 simplification is below 1; the derivation-consistent
     # constant is the ratio-based one
     assert c.k4.hi < 1
-    assert k4_corrected_interval(96).lo > 1
-    assert k_prec4_interval(96).lo > 1
+    assert k4_corrected_interval().lo > 1
+    assert k_prec4_interval().lo > 1
     # beta4 = 2 - sqrt3 is the digit->4 fixed-point ratio
-    b4 = beta4_interval(96)
+    b4 = beta4_interval()
     assert b4.lo <= F(2679, 10000) + F(1, 100) and b4.hi >= F(26, 100)
 
 
+def test_surd_constants_are_enclosed_at_surd_bits():
+    from nicfdim.pressure_dim import _digit_k
+    constants = (alpha_interval(), beta4_interval(), k_prec4_interval(),
+                 run_factor_interval(), k4_printed_interval(),
+                 k4_corrected_interval(), _digit_k(True), _digit_k(False))
+    for iv in constants:
+        assert 0 < iv.width <= F(1, 2 ** 120)
+
+
 def test_letter_constants_plain():
-    a = alpha_interval(96)
+    a = alpha_interval()
     m, big = letter_constants(4)
     assert big.contains((F(3, 2) / (4 - a.mid)) ** 2) or (
         big.lo <= (F(3, 2)) ** 2 / (4 - a.lo) ** 2

@@ -259,6 +259,20 @@ def test_vertex_tail_bound_monotone():
         vertex_tail_bound(F(1, 2), 4, 20)
 
 
+@pytest.mark.parametrize("j_max, k_max", [(2, 6), (4, 12), (8, 40)])
+def test_vertex_cylinders_tile_x_v(j_max, k_max):
+    # the loop cylinders phi_w(X_v) tile X_v = [-1/2, 1/2], so the kept
+    # letters cover at most length 1 and, with the tail's sup |phi'|, at least 1
+    def phi(digits, x):
+        for d in reversed(digits):
+            x = 1 / (d + x)
+        return x
+
+    covered = sum(abs(phi(l.word_digits, F(1, 2)) - phi(l.word_digits, F(-1, 2)))
+                  for l in vertex_system(j_max, k_max).letters)
+    assert covered <= 1 <= covered + vertex_tail_bound(F(1), j_max, k_max).hi
+
+
 def test_vertex_system_partition():
     vs = vertex_system(5, 15)
     z = partition_sum(vs, F(3, 4), 1)

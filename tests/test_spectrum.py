@@ -54,9 +54,9 @@ def test_mme_check_decides_the_ledger_sides():
     # the ledger states the phi_v letter constants once; case_pm4 and
     # mme_check decide the same sides at their first escalation step
     pm4 = run_case("case_pm4")
-    assert (pm4.lhs, pm4.rhs) == phi_v_sides(0, 4, 64, 128)
+    assert (pm4.lhs, pm4.rhs) == phi_v_sides(0, 4, 64)
     v = mme_check(4, "phi_v")
-    assert (v.lhs, v.rhs) == phi_v_sides(0, 4, 4, 128)
+    assert (v.lhs, v.rhs) == phi_v_sides(0, 4, 4)
     for j in range(13):
         for k in range(6, 12):
             lhs = mme_check(LoopLetter(1, j, k), "phi_v").lhs
