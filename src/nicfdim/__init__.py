@@ -36,12 +36,10 @@ from .symbolic import (
 from .nicf_system import (
     BarredLetter,
     LoopLetter,
-    SystemConstants,
     alpha_interval,
     deriv_at,
     distortion_constant,
     g_ratio,
-    letter_constants,
     nicf_barred_graph,
     norm_bounds,
     vertex_alphabet,
@@ -75,6 +73,7 @@ from .spectrum import (
 from .ledger import (
     LedgerResult,
     case_ids,
+    letter_constants,
     render_table,
     results_to_json,
     run_all,

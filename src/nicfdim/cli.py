@@ -12,21 +12,22 @@ Subcommands map one-to-one onto library capabilities:
 
 Exit codes: 0 success, 2 parse errors, 3 indeterminate certification
 (a dimension tolerance that was not achieved, or a ``spectrum`` sweep
-that certified no letter), 4 a numeric-range failure (a word denominator
-or partition sum outside the range of the float lane).  A divergent sum
+that certified no letter), 4 a numeric-range failure (a word denominator,
+partition sum or any other value outside the double range).  A divergent sum
 is a result, not an error: ``pressure`` prints ``inf`` at every t at or
 below theta, and ``appendix`` prints ``inf`` rows for a vertex with a
 loop family at every t <= 0.  Every ``--t-grid`` start, stop and step
 must be a finite double, as t is printed as one, and a grid holds at
 most 100,000 points (checked before any row is computed).  ``--threads``
 is accepted and has no effect.  ``--depth``, ``--budget``, ``--count``,
-``--bits``, ``--max-len`` and ``--digits`` are checked to be at least 1
-when the arguments are parsed.  Alphabet specs are parsed for syntax
-only; the alphabet rules are ``AlphabetSelection``'s.  ``--bits`` is an
-``appendix`` option only (the precision of the worked examples' exact
-roots); ``dim``, ``pressure`` and ``spectrum`` enclose the distortion
-constant K at one fixed precision (128-bit surds), so no option sets
-it.  ``main`` builds its parser once per process and reuses it.  All
+``--bits``, ``--max-len`` and ``--digits`` are checked to be at least 1,
+and ``--count`` and ``--budget`` at most 100,000 (their letters are
+listed before any output), when the arguments are parsed.  Alphabet
+specs are parsed for syntax only; the alphabet rules are
+``AlphabetSelection``'s.  ``--bits`` is an ``appendix`` option only (the
+precision of the worked examples' exact roots); ``dim``, ``pressure``
+and ``spectrum`` enclose the distortion constant K at one fixed
+precision (128-bit surds), so no option sets it.  ``main`` builds its parser once per process and reuses it.  All
 numeric CSV fields are shortest-round-trip doubles rounded outward from
 the exact rational bounds, so downstream consumers keep two-sided rigor.
 """
@@ -130,7 +131,7 @@ def _parse_rational(s: str) -> Fraction:
         raise ValueError(f"not a rational: {s!r} ({exc})")
 
 
-_MAX_GRID_POINTS = 100_000
+_MAX_COUNT = 100_000  # most t-grid points, and letters of --count or --budget
 
 
 def _parse_t_grid(spec: str) -> List[Fraction]:
@@ -145,8 +146,8 @@ def _parse_t_grid(spec: str) -> List[Fraction]:
     if step <= 0:
         raise ValueError("t-grid step must be positive")
     count = max((b - a) // step + 1, 0)
-    if count > _MAX_GRID_POINTS:
-        raise ValueError(f"t-grid has {count:,} points, over {_MAX_GRID_POINTS:,}")
+    if count > _MAX_COUNT:
+        raise ValueError(f"t-grid has {count:,} points, over {_MAX_COUNT:,}")
     return [a + i * step for i in range(count)]
 
 
@@ -279,6 +280,13 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _letter_count(text: str) -> int:
+    value = _at_least_one(text)
+    if value > _MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"at most {_MAX_COUNT:,}, got {value:,}")
+    return value
+
+
 class _AppendixOnly(argparse.Action):
     def __call__(self, parser, *_):
         parser.error("--bits is an option of the appendix subcommand only")
@@ -329,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="greedy digit-set construction")
     p.add_argument("--target", required=True)
     p.add_argument("--system", choices=("phi_f", "phi_v"), default="phi_f")
-    p.add_argument("--budget", type=_at_least_one, default=20)
+    p.add_argument("--budget", type=_letter_count, default=20)
     p.add_argument("--depth", type=_at_least_one, default=10)
 
     p = sub.add_parser("ledger", help="re-verify the case inequalities")
@@ -337,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("vertex-letters", help="induced-alphabet ordering")
-    p.add_argument("--count", type=_at_least_one, default=22)
+    p.add_argument("--count", type=_letter_count, default=22)
 
     p = sub.add_parser("appendix", help="worked similarity systems")
     p.add_argument("--example", choices=("cycle4", "triangle6"), required=True)

@@ -309,22 +309,24 @@ def next_up(x: float, steps: int = 1) -> float:
 def float_down(x: RationalLike) -> float:
     """Largest double <= x (x a Fraction or int)."""
     x = _frac(x)
-    f = float(x)
-    if math.isinf(f):
-        raise OverflowError("value too large for float bridge")
-    while Fraction(f) > x:
-        f = math.nextafter(f, -math.inf)
+    try:
+        f = float(x)
+        while Fraction(f) > x:
+            f = math.nextafter(f, -math.inf)
+    except OverflowError:  # from float(x), or Fraction(-inf), beyond the doubles
+        raise NumericRangeError("a value outside the double range") from None
     return f
 
 
 def float_up(x: RationalLike) -> float:
     """Smallest double >= x."""
     x = _frac(x)
-    f = float(x)
-    if math.isinf(f):
-        raise OverflowError("value too large for float bridge")
-    while Fraction(f) < x:
-        f = math.nextafter(f, math.inf)
+    try:
+        f = float(x)
+        while Fraction(f) < x:
+            f = math.nextafter(f, math.inf)
+    except OverflowError:
+        raise NumericRangeError("a value outside the double range") from None
     return f
 
 

@@ -12,6 +12,8 @@ This module is the one home of each inequality's sides: the letter
 constants of ``spectrum.mme_check`` are ``lemma_2_6_sides`` (phi_f) and
 ``phi_v_sides`` (phi_v), whose l-sums are ``plain_tail`` and
 ``weighted_tail``; ``mme_check`` only picks the sides and escalates.
+``letter_constants(b)`` reads each M_b off those left sides and adds
+the m_b of the bracket m_b ||phi'_{ww'}|| <= ||phi'_{wbw'}|| <= M_b ||phi'_{ww'}||.
 
 Where a displayed constant disagrees with its own derivation, the case
 records both variants instead of guessing: the reduced sufficient
@@ -29,7 +31,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .cf_core import Word
 from .exactnum import Interval, surd_enclosure, tail_sum_enclosure
@@ -37,6 +39,8 @@ from .nicf_system import (
     HALF,
     K_GLOBAL,
     K_PREC5,
+    SURD_BITS,
+    LoopLetter,
     alpha_interval,
     k4_corrected_interval,
     k4_printed_interval,
@@ -178,6 +182,26 @@ def phi_v_sides(j: int, k: int, terms: int) -> Tuple[Interval, Interval]:
             + Fraction(18, 25) * g * plain_tail(3, terms))
 
 
+def letter_constants(b: Union[int, LoopLetter]) -> Tuple[Interval, Interval]:
+    """(m_b, M_b) for a plain digit |b| >= 3 or a loop letter (j = 0 is the
+    digit).  M_b is the left side of ``lemma_2_6_sides`` (digits) or of
+    ``phi_v_sides`` (run letters, j >= 1); m_b is stated only here:
+        digits:       m_b = ((2/3) / (|b| + alpha))**2,
+        run letters:  m_b = K**-1 ((3/2 + sqrt2)(1 + sqrt2)**(j-1))**-2 (k + 1/2)**-2.
+    """
+    if isinstance(b, LoopLetter) and b.j == 0:
+        b = b.sign * b.k
+    if isinstance(b, int):
+        if abs(b) < 3:
+            raise ValueError("constants defined on F")
+        small = (Fraction(2, 3) / (abs(b) + alpha_interval())) ** 2
+        return small, lemma_2_6_sides(abs(b), 0)[0]
+    s2 = surd_enclosure(2, SURD_BITS)
+    growth = (Fraction(3, 2) + s2) * (1 + s2) ** (b.j - 1)
+    small = (growth ** 2 * K_GLOBAL).reciprocal() / (b.k + HALF) ** 2
+    return small, phi_v_sides(b.j, b.k, 0)[0]
+
+
 # ---------------------------------------------------------------------------
 # cases
 # ---------------------------------------------------------------------------
@@ -189,8 +213,8 @@ def _case_lemma_2_6() -> LedgerResult:
     a = alpha_interval()
     for k in range(4, _SWEEP_END + 1):
         v_full, lhs, rhs = _decide(partial(lemma_2_6_sides, k))
-        reduced = _row({"k": k}, Fraction(9, 4) * ((k - a) ** 2).reciprocal(),
-                       Fraction(8, 9) * (k + 1 + a).reciprocal(), "reduced")
+        reduced = _row({"k": k}, lhs, Fraction(8, 9) * (k + 1 + a).reciprocal(),
+                       "reduced")
         if reduced.verdict == FAILS:
             any_reduced_fail = True
         row_verdict = (v_full if v_full != HOLDS or reduced.verdict == HOLDS

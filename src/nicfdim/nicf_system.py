@@ -102,25 +102,6 @@ def k4_corrected_interval() -> Interval:
     return distortion_from_ratio(beta4_interval())
 
 
-@dataclass(frozen=True)
-class SystemConstants:
-    alpha: Interval
-    k_global: Fraction
-    k_prec5: Fraction
-    k_prec4: Interval
-    k4: Interval
-
-    @staticmethod
-    def default() -> "SystemConstants":
-        return SystemConstants(
-            alpha=alpha_interval(),
-            k_global=K_GLOBAL,
-            k_prec5=K_PREC5,
-            k_prec4=k_prec4_interval(),
-            k4=k4_printed_interval(),
-        )
-
-
 # ---------------------------------------------------------------------------
 # exact derivative formulas
 # ---------------------------------------------------------------------------
@@ -229,33 +210,6 @@ def vertex_alphabet(budget: int) -> List[LoopLetter]:
     if budget < 1:
         raise ValueError("budget must be >= 1")
     return list(islice(_block_order(), budget))
-
-
-def letter_constants(b: Union[int, LoopLetter]) -> Tuple[Interval, Interval]:
-    """(m_b, M_b) for a plain digit |b| >= 3 or a loop letter.
-
-    Plain letters use the sharpened pair
-        M_b = ((3/2) / (|b| - alpha))**2,  m_b = ((2/3) / (|b| + alpha))**2;
-    loop letters with j >= 1 use
-        M = K (1/4)^j (k - 1/2)**-2,
-        m = K**-1 ((3/2 + sqrt2)(1 + sqrt2)**(j-1))**-2 (k + 1/2)**-2.
-    """
-    if isinstance(b, LoopLetter) and b.j == 0:
-        b = b.sign * b.k
-    if isinstance(b, int):
-        if abs(b) < 3:
-            raise ValueError("constants defined on F")
-        a = alpha_interval()
-        mag = abs(b)
-        big = (Fraction(3, 2) / (mag - a)) ** 2
-        small = (Fraction(2, 3) / (mag + a)) ** 2
-        return small, big
-    s2 = surd_enclosure(2, SURD_BITS)
-    j, k = b.j, b.k
-    big_i = Interval.point(K_GLOBAL * Fraction(1, 4) ** j / (k - HALF) ** 2)
-    growth = (Fraction(3, 2) + s2) * (1 + s2) ** (j - 1)
-    small_i = (growth ** 2 * K_GLOBAL).reciprocal() / (k + HALF) ** 2
-    return small_i, big_i
 
 
 # ---------------------------------------------------------------------------

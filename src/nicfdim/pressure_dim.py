@@ -71,6 +71,8 @@ from .nicf_system import (
 )
 from .symbolic import AlphabetSelection, GraphSystem, first_return_loops
 
+WORD_BUDGET = 300_000  # most words one word-tree partition sum may walk
+
 
 # ---------------------------------------------------------------------------
 # systems
@@ -94,12 +96,15 @@ class _WordTreeIfs:
         """Finiteness exponent: tail letters have mass ~ (k - 1/2)**(-2t)."""
         return HALF if self.infinite_alphabet else Fraction(0)
 
+    def _over_budget(self, n: int, budget: int) -> bool:
+        """Whether a depth-n word tree holds more than ``budget`` words."""
+        return n >= 2 and self.letter_count ** n > budget
+
     def ladder(self, max_depth: int, word_budget: int) -> List[int]:
-        """Depths 1, 2, 4, ... up to the deepest affordable within budget."""
+        """Depths 1, 2, 4, ... up to the deepest within both budgets."""
         cap = max_depth
-        if self.letter_count >= 2:
-            while cap > 1 and self.letter_count ** cap > word_budget:
-                cap -= 1
+        while self._over_budget(cap, min(word_budget, WORD_BUDGET)):
+            cap -= 1
         ns = []
         n = 1
         while n < cap:
@@ -110,6 +115,9 @@ class _WordTreeIfs:
 
     def partition_sum_body(self, t: Fraction, n: int):
         """Z_n(t) for t >= 0, n >= 1 (see ``partition_sum``)."""
+        if self._over_budget(n, WORD_BUDGET):
+            raise ValueError(f"a depth-{n} sum walks {self.letter_count ** n:,} "
+                             f"words, over the budget of {WORD_BUDGET:,}")
         mats = self._mats()
         if not self.infinite_alphabet:
             if t == 0:
@@ -293,7 +301,6 @@ def as_system(x) -> System:
 # ---------------------------------------------------------------------------
 
 _WORD_CACHE_SIZE = 8  # word trees whose float bases stay cached
-WORD_BUDGET = 300_000  # default words per partition sum on a depth ladder
 
 
 def _letter_matrix(digits: Sequence[int]) -> Tuple[int, int, int, int]:
@@ -422,8 +429,11 @@ def partition_sum(system, t: Fraction, n: int, *, threads: int = 1):
     tails exactly at n = 1; for n >= 2 the lower bound is the truncated
     enumeration and the upper bound adds the letterwise-product
     correction (sigma_T + sigma_L)**n - sigma_T**n, valid because word
-    norms are submultiplicative.  ``threads`` is accepted for
-    compatibility and has no effect: the sum runs on one thread.
+    norms are submultiplicative.  A word-tree system refuses, with
+    ``ValueError``, a depth n >= 2 of more than ``WORD_BUDGET`` words
+    (letter_count**n) before it walks any; ``ladder`` never proposes one.
+    ``threads`` is accepted for compatibility and has no effect: the sum
+    runs on one thread.
     """
     system = as_system(system)
     t = Fraction(t)

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nicfdim.cli import _parse_t_grid, main, parse_alphabet_spec, SpecParseError
+from nicfdim.cli import (
+    _parse_t_grid, build_parser, main, parse_alphabet_spec, SpecParseError)
 
 
 def run(capsys, *argv):
@@ -317,6 +318,29 @@ def test_integer_options_below_one_rejected(argv, option, value):
     rc, out, err = cli(*argv, option, value)
     assert rc == 2 and out == ""
     assert f"argument {option}: " in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("spectrum", "--target", "0.3"), "--budget"),
+    (("vertex-letters",), "--count"),
+])
+def test_letter_counts_are_capped_when_parsed(argv, option):
+    # the letters are listed before any output, so the cap is checked first
+    args = build_parser().parse_args([*argv, option, "100000"])
+    assert getattr(args, option[2:]) == 100_000
+    rc, out, err = cli(*argv, option, "100001")
+    assert rc == 2 and out == ""
+    assert f"argument {option}: at most 100,000" in err
+
+
+def test_pressure_beyond_the_double_range_exits_numeric_range():
+    # at t = 1/2 + 10**-160 the depth-2 tail correction of absmin:3:4 is
+    # about 1e320, beyond the doubles its logarithm is taken through
+    t = "0.5" + "0" * 159 + "1"
+    rc, out, err = cli("pressure", "--alphabet", "absmin:3:4", "--depth", "2",
+                       "--t-grid", f"{t}:{t}:1")
+    assert rc == 4 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def _appendix_rows(bits):

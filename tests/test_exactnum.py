@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from nicfdim.exactnum import (
     DivergentTailError,
     Interval,
+    NumericRangeError,
     exp_interval,
     float_down,
     float_up,
@@ -253,6 +254,13 @@ def test_float_bridges():
     assert float_down(x) <= float_up(x)
     y = F(7, 8)  # exactly representable
     assert float_down(y) == float_up(y) == 0.875
+
+
+@pytest.mark.parametrize("x", [F(10 ** 320), F(-10 ** 320), F(2 ** 1024)])
+def test_float_bridges_refuse_values_beyond_the_doubles(x):
+    for bridge in (float_down, float_up):
+        with pytest.raises(NumericRangeError):
+            bridge(x)
 
 
 def test_log_exp_enclosures():

@@ -9,13 +9,15 @@ from nicfdim.exactnum import Interval
 from nicfdim.ledger import (
     _row,
     case_ids,
+    lemma_2_6_sides,
+    letter_constants,
     phi_v_sides,
     plain_tail,
     render_table,
     results_to_json,
     run_case,
 )
-from nicfdim.nicf_system import vertex_alphabet
+from nicfdim.nicf_system import alpha_interval, vertex_alphabet
 
 
 def test_row_refuses_overlapping_sides():
@@ -143,3 +145,16 @@ def test_phi_v_successor_rule_follows_block_order():
         assert phi_v_sides(j, k, 4)[1] == F(18, 25) * plain_tail(first, 4)
         checked += 1
     assert checked > 1900
+
+
+def test_letter_constants_read_m_b_off_the_sides():
+    # each M_b is the left side the ledger certifies, endpoint for endpoint
+    a = alpha_interval()
+    for k in range(3, 201):
+        side = lemma_2_6_sides(k, 0)[0]
+        assert side == (F(3, 2) / (k - a)) ** 2
+        assert letter_constants(k)[1] == letter_constants(-k)[1] == side
+    for letter in vertex_alphabet(2000):
+        if letter.j >= 1:
+            side = phi_v_sides(letter.j, letter.k, 0)[0]
+            assert letter_constants(letter)[1] == side

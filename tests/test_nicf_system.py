@@ -7,11 +7,11 @@ from fractions import Fraction as F
 import pytest
 
 from nicfdim.cf_core import Word
+from nicfdim.ledger import letter_constants
 from nicfdim.nicf_system import (
     K_GLOBAL,
     K_PREC5,
     LoopLetter,
-    SystemConstants,
     alpha_interval,
     beta4_interval,
     deriv_at,
@@ -20,7 +20,6 @@ from nicfdim.nicf_system import (
     k4_corrected_interval,
     k4_printed_interval,
     k_prec4_interval,
-    letter_constants,
     nicf_barred_graph,
     norm_bounds,
     run_factor_interval,
@@ -148,14 +147,13 @@ def test_fixed_point_expansions():
 
 
 def test_system_constants_widths():
-    c = SystemConstants.default()
-    for iv in (c.alpha, c.k_prec4, c.k4):
+    for iv in (alpha_interval(), k_prec4_interval(), k4_printed_interval()):
         assert iv.width <= F(1, 2 ** 48)
-    assert c.k_global == F(25, 9)
-    assert c.k_prec5 == F(64, 25)
+    assert K_GLOBAL == F(25, 9)
+    assert K_PREC5 == F(64, 25)
     # the printed K_4 simplification is below 1; the derivation-consistent
     # constant is the ratio-based one
-    assert c.k4.hi < 1
+    assert k4_printed_interval().hi < 1
     assert k4_corrected_interval().lo > 1
     assert k_prec4_interval().lo > 1
     # beta4 = 2 - sqrt3 is the digit->4 fixed-point ratio

@@ -1,6 +1,7 @@
 """Partition sums, pressure certificates, dimension intervals, appendix."""
 
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,8 @@ from nicfdim.exactnum import (
     exp_interval,
     pow_iv,
 )
-from nicfdim.nicf_system import LoopLetter, norm_bounds, letter_constants
+from nicfdim.ledger import letter_constants
+from nicfdim.nicf_system import LoopLetter, norm_bounds
 from nicfdim.pressure_dim import (
     DigitIfs,
     LoopIfs,
@@ -681,3 +683,24 @@ def test_dim_intervals_pinned():
 
 def test_classify_vertex_system():
     assert classify_nature(vertex_system(4, 12)) == "strongly regular"
+
+
+def test_over_budget_depth_is_refused_before_any_word(monkeypatch):
+    # 36 letters at depth 6 are 36**6 ~ 2.2e9 words, over WORD_BUDGET
+    def walk(*_):
+        raise AssertionError("a word tree was walked")
+
+    monkeypatch.setattr(pressure_dim, "_word_bases", walk)
+    system = DigitIfs(AlphabetSelection.cofinite(3, 20))
+    for bound in (partition_sum, pressure_bounds):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="2,176,782,336 words"):
+            bound(system, F(3, 4), 6)
+        assert time.perf_counter() - start < 1
+
+
+def test_ladder_never_exceeds_the_word_budget():
+    system = DigitIfs(AlphabetSelection.abs_range(3, 4))
+    ladder = system.ladder(12, pressure_dim.WORD_BUDGET)
+    assert system.ladder(12, 10 ** 7) == ladder
+    assert system.letter_count ** ladder[-1] <= pressure_dim.WORD_BUDGET
