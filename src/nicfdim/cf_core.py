@@ -9,8 +9,8 @@ which is exactly the incidence rule of the associated graph system.
 ``Word`` caches the convergent pairs (p_n, q_n) of a digit string, the
 engine behind every exact derivative and distortion formula downstream:
 
-    p_n = d_n p_(n-1) + p_(n-2),   p_0 = 0, p_1 = 1
-    q_n = d_n q_(n-1) + q_(n-2),   q_0 = 1, q_1 = d_1
+    p_n = d_n p_(n-1) + p_(n-2),   p_(-1) = 1, p_0 = 0
+    q_n = d_n q_(n-1) + q_(n-2),   q_(-1) = 0, q_0 = 1
     p_(n-1) q_n - q_(n-1) p_n = (-1)**n
 """
 
@@ -52,19 +52,13 @@ class Word:
         for d in ds:
             if abs(d) < 2:
                 raise ValueError(f"digit {d} has |d| < 2")
-        p = [0, 1]
-        q = [1]
-        for i, d in enumerate(ds):
-            if i == 0:
-                q.append(d)
-            else:
-                p.append(d * p[-1] + p[-2])
-                q.append(d * q[-1] + q[-2])
-        if not ds:
-            p = [0]
+        p, q = [1, 0], [0, 1]  # indices -1 and 0
+        for d in ds:
+            p.append(d * p[-1] + p[-2])
+            q.append(d * q[-1] + q[-2])
         self.digits = ds
-        self.p = tuple(p[: len(ds) + 1])
-        self.q = tuple(q)
+        self.p = tuple(p[1:])
+        self.q = tuple(q[1:])
 
     def __len__(self) -> int:
         return len(self.digits)

@@ -12,22 +12,25 @@ Subcommands map one-to-one onto library capabilities:
 
 Exit codes: 0 success, 2 parse errors, 3 indeterminate certification
 (a dimension tolerance that was not achieved, or a ``spectrum`` sweep
-that certified no letter), 4 a numeric-range failure (a word denominator,
-partition sum or any other value outside the double range).  A divergent sum
-is a result, not an error: ``pressure`` prints ``inf`` at every t at or
-below theta, and ``appendix`` prints ``inf`` rows for a vertex with a
-loop family at every t <= 0.  Every ``--t-grid`` start, stop and step
-must be a finite double, as t is printed as one, and a grid holds at
-most 100,000 points (checked before any row is computed).  ``--threads``
-is accepted and has no effect.  ``--depth``, ``--budget``, ``--count``,
-``--bits``, ``--max-len`` and ``--digits`` are checked to be at least 1,
-and ``--count`` and ``--budget`` at most 100,000 (their letters are
-listed before any output), when the arguments are parsed.  Alphabet
-specs are parsed for syntax only; the alphabet rules are
-``AlphabetSelection``'s.  ``--bits`` is an ``appendix`` option only (the
-precision of the worked examples' exact roots); ``dim``, ``pressure``
-and ``spectrum`` enclose the distortion constant K at one fixed
-precision (128-bit surds), so no option sets it.  ``main`` builds its parser once per process and reuses it.  All
+that certified no letter), 4 a numeric-range failure (a word
+denominator, partition sum or any other value outside the double range,
+or an exact power over 2**16 bits, see ``exactnum.pow_enclosure``).  A
+divergent sum is a result, not an error: ``pressure`` prints ``inf`` at
+every t at or below theta, and ``appendix`` prints ``inf`` rows for a
+vertex with a loop family at every t <= 0.  Every ``--t-grid`` start,
+stop and step must be a finite double, as t is printed as one, and a
+grid holds at most 100,000 points (checked before any row is computed).
+``--threads`` is accepted and has no effect.  ``--depth``, ``--budget``,
+``--count``, ``--bits``, ``--max-len`` and ``--digits`` are checked to
+be at least 1, ``--count``, ``--budget`` and ``--depth`` at most 100,000
+(letters are listed before any output, and a one-letter word tree is
+not bounded by the word budget), and ``--max-len`` at most 1,000, when
+the arguments are parsed.  Alphabet specs are parsed for syntax only;
+the alphabet rules are ``AlphabetSelection``'s.  ``--bits`` is an
+``appendix`` option only (the precision of the worked examples' exact
+roots); ``dim``, ``pressure`` and ``spectrum`` enclose the distortion
+constant K at one fixed precision (128-bit surds), so no option sets
+it.  ``main`` builds its parser once per process and reuses it.  All
 numeric CSV fields are shortest-round-trip doubles rounded outward from
 the exact rational bounds, so downstream consumers keep two-sided rigor.
 """
@@ -51,6 +54,8 @@ from .exactnum import float_down as _out_lo, float_up as _out_hi
 from .ledger import case_ids, render_table, results_to_json, run_all, run_case
 from .nicf_system import vertex_alphabet
 from .pressure_dim import (
+    APPENDIX_BITS,
+    APPENDIX_EDGES,
     WORD_BUDGET,
     DigitIfs,
     appendix_example,
@@ -131,7 +136,8 @@ def _parse_rational(s: str) -> Fraction:
         raise ValueError(f"not a rational: {s!r} ({exc})")
 
 
-_MAX_COUNT = 100_000  # most t-grid points, and letters of --count or --budget
+_MAX_COUNT = 100_000  # most t-grid points, and most --count, --budget or --depth
+_MAX_LEN = 1_000  # longest appendix loop, --max-len
 
 
 def _parse_t_grid(spec: str) -> List[Fraction]:
@@ -242,13 +248,9 @@ def _cmd_vertex_letters(args) -> int:
 
 def _cmd_appendix(args) -> int:
     ratio = _parse_rational(args.ratio)
-    if args.example == "cycle4":
-        edges: Sequence = (1, 2, 3, 4)
-        vertices = ("v", "w", "z")
-    else:
-        edges = tuple("abcdef")
-        vertices = ("v",)
-    system = appendix_example(args.example, {e: ratio for e in edges})
+    vertices = ("v", "w", "z") if args.example == "cycle4" else ("v",)
+    system = appendix_example(args.example,
+                              {e: ratio for e in APPENDIX_EDGES[args.example]})
     grid = _parse_t_grid(args.t_grid)
     rows = ["t,vertex,closed_lo,closed_hi,enclosure_lo,enclosure_hi,consistent"]
     for t in grid:
@@ -280,11 +282,14 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def _letter_count(text: str) -> int:
-    value = _at_least_one(text)
-    if value > _MAX_COUNT:
-        raise argparse.ArgumentTypeError(f"at most {_MAX_COUNT:,}, got {value:,}")
-    return value
+def _at_most(cap: int):
+    """An argument type: an integer from 1 to ``cap``."""
+    def parse(text: str) -> int:
+        value = _at_least_one(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"at most {cap:,}, got {value:,}")
+        return value
+    return parse
 
 
 class _AppendixOnly(argparse.Action):
@@ -324,36 +329,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="certified dimension interval")
     p.add_argument("--alphabet", required=True)
-    p.add_argument("--depth", type=_at_least_one, default=12)
+    p.add_argument("--depth", type=_at_most(_MAX_COUNT), default=12)
     p.add_argument("--tol", default="0.02")
 
     p = sub.add_parser("pressure", help="pressure curve over a t grid")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--t-grid", required=True, help="start:stop:step")
-    p.add_argument("--depth", type=_at_least_one, default=8, help="capped at the "
+    p.add_argument("--depth", type=_at_most(_MAX_COUNT), default=8, help="capped at the "
                    f"deepest with at most {WORD_BUDGET:,} words (default 8)")
     p.add_argument("--csv", help="output path (stdout if omitted)")
 
     p = sub.add_parser("spectrum", help="greedy digit-set construction")
     p.add_argument("--target", required=True)
     p.add_argument("--system", choices=("phi_f", "phi_v"), default="phi_f")
-    p.add_argument("--budget", type=_letter_count, default=20)
-    p.add_argument("--depth", type=_at_least_one, default=10)
+    p.add_argument("--budget", type=_at_most(_MAX_COUNT), default=20)
+    p.add_argument("--depth", type=_at_most(_MAX_COUNT), default=10)
 
     p = sub.add_parser("ledger", help="re-verify the case inequalities")
     p.add_argument("--case", choices=case_ids())
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("vertex-letters", help="induced-alphabet ordering")
-    p.add_argument("--count", type=_letter_count, default=22)
+    p.add_argument("--count", type=_at_most(_MAX_COUNT), default=22)
 
     p = sub.add_parser("appendix", help="worked similarity systems")
-    p.add_argument("--example", choices=("cycle4", "triangle6"), required=True)
+    p.add_argument("--example", choices=tuple(APPENDIX_EDGES), required=True)
     p.add_argument("--ratio", default="1/3")
     p.add_argument("--t-grid", required=True, help="start:stop:step")
-    p.add_argument("--max-len", type=_at_least_one, default=24)
-    p.add_argument("--bits", type=_at_least_one, default=64,
-                   help="precision of the exact roots (default 64)")
+    p.add_argument("--max-len", type=_at_most(_MAX_LEN), default=24)
+    p.add_argument("--bits", type=_at_least_one, default=APPENDIX_BITS,
+                   help=f"precision of the exact roots (default {APPENDIX_BITS})")
     p.add_argument("--csv", help="output path (stdout if omitted)")
     _allow_negative_values(ap)
     return ap

@@ -7,7 +7,8 @@ result.  Two lanes are provided:
 
 * the exact lane (surds, rational powers, integral-test tails at integer
   exponents) performs no floating-point arithmetic at all and is the
-  only lane the inequality ledger is allowed to use;
+  only lane the inequality ledger is allowed to use; a power whose
+  integers would exceed 2**16 bits raises ``NumericRangeError``;
 * a guarded floating-point lane (``log_interval``, ``exp_interval`` and
   the ``f*`` helpers) wraps libm calls with directed ulp padding and is
   used on the pressure path, where x**t is exact only at integer t (no
@@ -29,6 +30,7 @@ RationalLike = Union[Fraction, int]
 _LIBM_PAD = 8
 
 _SUPPORTED_SURDS = (2, 3, 5)
+_MAX_POW_BITS = 1 << 16  # most bits of an integer that pow_enclosure builds
 
 
 class DivergentTailError(ValueError):
@@ -186,18 +188,23 @@ def surd_enclosure(n: int, bits: int) -> Interval:
 # ---------------------------------------------------------------------------
 
 def pow_enclosure(base: RationalLike, t: RationalLike, bits: int = 64) -> Interval:
-    """Enclosure of base**t for base > 0 and rational t.
+    """Enclosure of base**t for base > 0 and rational t = u/v.
 
     Integer t gives an exact point interval, as does any t whose result is
     rational (e.g. the square root of a square).  Otherwise the v-th root
     is taken with relative precision about 2**-bits via scaled integer
-    roots, so endpoints are dyadic rationals.
+    roots, so endpoints are dyadic rationals.  Raises ``NumericRangeError``
+    when its integers would exceed 2**16 bits: |u| times the bit length of
+    base (numerator or denominator), plus v * bits if a root is taken.
     """
     base = _frac(base)
     t = _frac(t)
     if base <= 0:
         raise ValueError("base must be positive")
     u, v = t.numerator, t.denominator
+    size = abs(u) * max(base.numerator.bit_length(), base.denominator.bit_length())
+    if size + (v * bits if v > 1 else 0) > _MAX_POW_BITS:
+        raise NumericRangeError(f"an exact power needs over {_MAX_POW_BITS:,} bits")
     if v == 1:
         return Interval.point(base ** u)
     r = base ** u  # exact rational, r > 0

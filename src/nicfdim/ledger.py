@@ -346,21 +346,17 @@ def _case_letter3() -> LedgerResult:
 
 
 def _case_q_growth() -> LedgerResult:
-    bits = 192
-    s2 = surd_enclosure(2, bits)
-    one_plus = 1 + s2
-    factor = Fraction(3, 2) + s2
+    s2 = surd_enclosure(2, 192)
+    q = Word([2] * _SWEEP_END).q  # q_r of the run word 2^r, r = 0..200
     rows = []
-    tight = None
-    q_prev, q = 0, 1  # q_-1, q_0 for the empty run
+    growth = True  # 1 <= q_r <= (1 + sqrt2)**r for every r
     pw = Interval.point(1)  # (1 + sqrt2)**r
     for r in range(1, _SWEEP_END + 1):
-        q_prev, q = q, 2 * q + q_prev
-        pw = pw * one_plus
-        lhs = Interval.point(q + Fraction(q_prev, 2))
-        rhs = factor * (pw / one_plus)  # (3/2 + sqrt2)(1 + sqrt2)**(r-1)
-        ok = 1 <= q <= pw.lo and lhs.hi <= rhs.lo
-        rows.append(SweepRow({"r": r}, HOLDS if ok else FAILS, rhs - lhs))
+        pw = pw * (1 + s2)
+        growth = growth and 1 <= q[r] <= pw.lo
+        lhs = Interval.point(q[r] + Fraction(q[r - 1], 2))
+        rhs = (Fraction(3, 2) + s2) * (pw / (1 + s2))  # (3/2 + sqrt2)(1 + sqrt2)**(r-1)
+        rows.append(_row({"r": r}, lhs, rhs))
         if r == 1:
             tight = (lhs, rhs)
     lhs, rhs = tight
@@ -369,7 +365,7 @@ def _case_q_growth() -> LedgerResult:
         "for the run word 2^r: 1 <= q_n <= (1+sqrt2)^n, and "
         "q_r + q_(r-1)/2 <= (3/2+sqrt2)(1+sqrt2)^(r-1), so "
         "inf |phi'| >= [(3/2+sqrt2)(1+sqrt2)^(r-1)]^-2",
-        HOLDS if _all_hold(rows) else FAILS, lhs, rhs, tuple(rows),
+        HOLDS if growth and _all_hold(rows) else FAILS, lhs, rhs, tuple(rows),
     )
 
 

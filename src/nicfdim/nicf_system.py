@@ -97,8 +97,14 @@ def k4_printed_interval() -> Interval:
 
 
 @cache
+def k3_interval() -> Interval:
+    """distortion_from_ratio(alpha): K of digit systems whose smallest |b| is 3."""
+    return distortion_from_ratio(alpha_interval())
+
+
+@cache
 def k4_corrected_interval() -> Interval:
-    """((4 - sqrt3)/sqrt3)**2 = distortion_from_ratio(2 - sqrt3)."""
+    """((4 - sqrt3)/sqrt3)**2 = distortion_from_ratio(2 - sqrt3), K for |b| >= 4."""
     return distortion_from_ratio(beta4_interval())
 
 

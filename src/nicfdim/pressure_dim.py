@@ -19,15 +19,16 @@ and the walk stops at the first certificate of either sign.  Both hold
 at one depth only where Z_n = K**t = 1, so P(t) = 0, which the walk
 reports as nonpositive.  The same walk decides each letter of the greedy
 spectrum and the regularity test of ``classify_nature``.  K is
-enclosed once per kind of digit system (smallest |b| = 3 or >= 4) and
-the cofinite letter tail once per (truncation, t).  Word-tree sums run
-in the guarded float lane at every t > 0: each (letters, depth) tree is
-walked once into one array of bases 4/d**2 kept in an 8-tree LRU cache,
-and bisection probes only re-raise them to a new t and add them in walk
-order.  Every other x**t is exact only at integer t, where no root is
-needed (``exactnum.pow_iv``), and in the float lane otherwise; only the
-worked similarity examples keep exact roots (up to the 64th).
-``_z_exact`` (exact rationals) is only the float lane's test oracle.
+enclosed once per kind of digit system (smallest |b| = 3 or >= 4) in
+``nicf_system``, and the cofinite letter tail once per (truncation, t).
+Word-tree sums run in the guarded float lane at every t > 0: each
+(letters, depth) tree is walked once into one array of bases 4/d**2
+kept in an 8-tree LRU cache, and bisection probes only re-raise them to
+a new t and add them in walk order.  Every other x**t is exact only at
+integer t, where no root is needed (``exactnum.pow_iv``), and in the
+float lane otherwise; only the worked similarity examples keep exact
+roots (up to the 64th).  ``_z_exact`` (exact rationals) is only the
+float lane's test oracle.
 
 Every system (``DigitIfs``, ``LoopIfs``, ``SimilarityIfs``) offers the
 same members: ``letter_count``, ``infinite_alphabet``, ``theta``,
@@ -65,9 +66,8 @@ from .nicf_system import (
     HALF,
     K_GLOBAL,
     LoopLetter,
-    alpha_interval,
-    beta4_interval,
-    distortion_from_ratio,
+    k3_interval,
+    k4_corrected_interval,
 )
 from .symbolic import AlphabetSelection, GraphSystem, first_return_loops
 
@@ -101,10 +101,12 @@ class _WordTreeIfs:
         return n >= 2 and self.letter_count ** n > budget
 
     def ladder(self, max_depth: int, word_budget: int) -> List[int]:
-        """Depths 1, 2, 4, ... up to the deepest within both budgets."""
-        cap = max_depth
-        while self._over_budget(cap, min(word_budget, WORD_BUDGET)):
-            cap -= 1
+        """Depths 1, 2, 4, ... up to the deepest within both budgets.  The
+        cap counts up, so it takes O(log budget) steps at any max_depth."""
+        cap = max_depth if self.letter_count <= 1 else 1
+        while cap < max_depth and not self._over_budget(
+                cap + 1, min(word_budget, WORD_BUDGET)):
+            cap += 1
         ns = []
         n = 1
         while n < cap:
@@ -153,21 +155,15 @@ class DigitIfs(_WordTreeIfs):
         return self.selection.is_cofinite
 
     def k_interval(self) -> Interval:
-        return _digit_k(self.selection.min_magnitude() == 3)
+        if self.selection.min_magnitude() == 3:
+            return k3_interval()
+        return k4_corrected_interval()
 
     def _mats(self):
         return tuple(_letter_matrix((b,)) for b in self.letters)
 
     def _tail_mass(self, t: Fraction):
         return _cofinite_tail(self.selection.trunc, t)
-
-
-@lru_cache(maxsize=2)
-def _digit_k(smallest_is_3: bool) -> Interval:
-    """K of a digit system: it depends only on whether 3 is its smallest
-    |b| (ratio bound alpha) or not (ratio bound 2 - sqrt3)."""
-    return distortion_from_ratio(alpha_interval() if smallest_is_3
-                                 else beta4_interval())
 
 
 @lru_cache(maxsize=64)  # (trunc, t) pairs: a dim job probes a few dozen t
@@ -180,18 +176,20 @@ def _cofinite_tail(trunc: int, t: Fraction) -> Interval:
 
 @dataclass(frozen=True)
 class LoopIfs(_WordTreeIfs):
-    """A finite set of vertex loop letters, optionally carrying the tail of
-    the full induced alphabet beyond the truncation grid j <= j_max,
-    k <= k_max (``letters`` must then be exactly that grid)."""
+    """A finite set of vertex loop letters or, with ``tail = (j_max,
+    k_max)``, the full induced alphabet: ``letters`` is then exactly the
+    grid j <= j_max, k <= k_max and the letters beyond it are the tail."""
 
     letters: Tuple[LoopLetter, ...]
-    with_tail: bool = False
-    j_max: int = 0
-    k_max: int = 0
+    tail: Optional[Tuple[int, int]] = None
+
+    def __post_init__(self):
+        if self.tail is not None and tuple(self.letters) != _vertex_grid(*self.tail):
+            raise ValueError("a tailed LoopIfs needs exactly the letters of its grid")
 
     @property
     def infinite_alphabet(self) -> bool:
-        return self.with_tail
+        return self.tail is not None
 
     def k_interval(self) -> Interval:
         return Interval.point(K_GLOBAL)
@@ -200,7 +198,19 @@ class LoopIfs(_WordTreeIfs):
         return tuple(_letter_matrix(l.word_digits) for l in self.letters)
 
     def _tail_mass(self, t: Fraction):
-        return vertex_tail_bound(t, self.j_max, self.k_max)
+        return vertex_tail_bound(t, *self.tail)
+
+
+def _vertex_grid(j_max: int, k_max: int) -> Tuple[LoopLetter, ...]:
+    """The loop letters with runs j <= j_max and terminal digits k <= k_max."""
+    if j_max < 0 or k_max < 3:
+        raise ValueError("need j_max >= 0 and k_max >= 3")
+    return tuple(
+        LoopLetter(sign, j, k)
+        for sign in (-1, 1)
+        for j in range(0, j_max + 1)
+        for k in range(3, k_max + 1)
+    )
 
 
 def vertex_system(j_max: int, k_max: int) -> LoopIfs:
@@ -215,15 +225,7 @@ def vertex_system(j_max: int, k_max: int) -> LoopIfs:
     sup |phi_w'|, so the kept letters cover at least
     1 - vertex_tail_bound(1, j_max, k_max).hi of X_v.
     """
-    if j_max < 0 or k_max < 3:
-        raise ValueError("need j_max >= 0 and k_max >= 3")
-    letters = tuple(
-        LoopLetter(sign, j, k)
-        for sign in (-1, 1)
-        for j in range(0, j_max + 1)
-        for k in range(3, k_max + 1)
-    )
-    return LoopIfs(letters, with_tail=True, j_max=j_max, k_max=k_max)
+    return LoopIfs(_vertex_grid(j_max, k_max), (j_max, k_max))
 
 
 @dataclass(frozen=True)
@@ -657,6 +659,9 @@ def classify_nature(system, *,
 # too fine for the float lane; exact roots at every t would make
 # ``appendix --t-grid 0.001:0.003:0.001`` a few hundred times slower.
 _APPENDIX_EXACT_ROOTS = 64
+APPENDIX_BITS = 64  # default precision of the worked examples' exact roots
+# the edges of each worked example, in the order they are listed
+APPENDIX_EDGES = {"cycle4": (1, 2, 3, 4), "triangle6": tuple("abcdef")}
 
 
 def _appendix_pow(x: Fraction, t: Fraction, bits: int) -> Interval:
@@ -699,7 +704,7 @@ class VertexLoopSpec:
                 + sum(f.count_up_to(max_len) for f in self.families))
 
     def z1_tail_beyond(self, max_len: int, t: Fraction,
-                       bits: int = 64) -> Interval:
+                       bits: int = APPENDIX_BITS) -> Interval:
         """Mass of the loops of length > max_len."""
         t = Fraction(t)
         acc = Interval.point(0)
@@ -724,12 +729,14 @@ class AppendixSystem:
     def vertex_ifs(self, vertex: str) -> SimilarityIfs:
         return self.loop_specs[vertex].similarity_ifs()
 
-    def closed_pressure(self, vertex: str, t: Fraction, bits: int = 96) -> Interval:
+    def closed_pressure(self, vertex: str, t: Fraction,
+                        bits: int = APPENDIX_BITS) -> Interval:
         """The exact closed form of P_{E_vertex}(t), as an enclosure: the
         mass of all first-return loops, every one longer than 0."""
         return log_interval(self.loop_specs[vertex].z1_tail_beyond(0, t, bits))
 
-    def full_pressure_closed(self, t: Fraction, bits: int = 64) -> Interval:
+    def full_pressure_closed(self, t: Fraction,
+                             bits: int = APPENDIX_BITS) -> Interval:
         """P(t) = log rho(M(t)) of the whole graph system, where M(t)[u][v]
         is the sum of r_e**t over the edges e from u to v.  For any
         positive x the Collatz-Wielandt bracket
@@ -764,7 +771,7 @@ class AppendixSystem:
         return log_interval(Interval(lo, hi))
 
     def enumerated_pressure(self, vertex: str, t: Fraction, max_len: int,
-                            bits: int = 64) -> Interval:
+                            bits: int = APPENDIX_BITS) -> Interval:
         """Pressure from actually enumerated first-return loops up to
         max_len plus the exact geometric tail; contains the closed form."""
         t = Fraction(t)
@@ -792,11 +799,14 @@ def appendix_example(name: str, ratios: Mapping[object, Fraction]) -> AppendixSy
     for r in ratios.values():
         if not 0 < r < 1:
             raise ValueError("not a contraction")
+    if name not in APPENDIX_EDGES:
+        raise ValueError(f"unknown appendix example {name!r} "
+                         f"(use {' or '.join(APPENDIX_EDGES)})")
+    edges = APPENDIX_EDGES[name]
+    if set(ratios) != set(edges):
+        raise ValueError(f"{name} needs ratios for edges {edges[0]}..{edges[-1]}")
 
     if name == "cycle4":
-        edges = (1, 2, 3, 4)
-        if set(ratios) != set(edges):
-            raise ValueError("cycle4 needs ratios for edges 1..4")
         initial = {1: "v", 2: "w", 3: "z", 4: "z"}
         terminal = {1: "w", 2: "z", 3: "v", 4: "w"}
         g = GraphSystem(("v", "w", "z"), edges, initial, terminal)
@@ -809,40 +819,22 @@ def appendix_example(name: str, ratios: Mapping[object, Fraction]) -> AppendixSy
         }
         return AppendixSystem("cycle4", g, ratios, specs)
 
-    if name == "triangle6":
-        edges = tuple("abcdef")
-        if set(ratios) != set(edges):
-            raise ValueError("triangle6 needs ratios for edges a..f")
-        initial = {"a": "v", "b": "w", "c": "w", "d": "z", "e": "v", "f": "z"}
-        terminal = {"a": "w", "b": "v", "c": "z", "d": "w", "e": "z", "f": "v"}
-        g = GraphSystem(("v", "w", "z"), edges, initial, terminal)
-        R = ratios
+    initial = {"a": "v", "b": "w", "c": "w", "d": "z", "e": "v", "f": "z"}
+    terminal = {"a": "w", "b": "v", "c": "z", "d": "w", "e": "z", "f": "v"}
+    g = GraphSystem(("v", "w", "z"), edges, initial, terminal)
 
-        def fam(base_edges: str, cycle_edges: str) -> LoopFamily:
-            base = Fraction(1)
-            for e in base_edges:
-                base *= R[e]
-            cyc = Fraction(1)
-            for e in cycle_edges:
-                cyc *= R[e]
-            return LoopFamily(base, cyc, len(base_edges), len(cycle_edges))
+    def fam(base_edges: str, cycle_edges: str) -> LoopFamily:
+        return LoopFamily(math.prod(ratios[e] for e in base_edges),
+                          math.prod(ratios[e] for e in cycle_edges),
+                          len(base_edges), len(cycle_edges))
 
-        # first-return loops at v: a(cd)^n b, a(cd)^n cf, e(dc)^n f, e(dc)^n db
-        specs = {
-            "v": VertexLoopSpec(families=(
-                fam("ab", "cd"), fam("acf", "cd"),
-                fam("ef", "dc"), fam("edb", "dc"),
-            )),
-            # by the symmetry of the triangle, the other vertices mirror v
-            "w": VertexLoopSpec(families=(
-                fam("ba", "ef"), fam("bed", "ef"),
-                fam("cd", "fe"), fam("cfa", "fe"),
-            )),
-            "z": VertexLoopSpec(families=(
-                fam("dc", "ba"), fam("dbe", "ba"),
-                fam("fe", "ab"), fam("fac", "ab"),
-            )),
-        }
-        return AppendixSystem("triangle6", g, ratios, specs)
-
-    raise ValueError(f"unknown appendix example {name!r} (use cycle4 or triangle6)")
+    # first-return loops at v: a(cd)^n b, a(cd)^n cf, e(dc)^n f, e(dc)^n db;
+    # turning the triangle v -> w -> z -> v maps the edges a..f to c, d, f,
+    # e, b, a, and v's loops to w's, then to z's
+    loops = (("ab", "cd"), ("acf", "cd"), ("ef", "dc"), ("edb", "dc"))
+    turn = str.maketrans("abcdef", "cdfeba")
+    specs = {}
+    for vertex in ("v", "w", "z"):
+        specs[vertex] = VertexLoopSpec(families=tuple(fam(*l) for l in loops))
+        loops = tuple((b.translate(turn), c.translate(turn)) for b, c in loops)
+    return AppendixSystem("triangle6", g, ratios, specs)

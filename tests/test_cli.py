@@ -284,6 +284,18 @@ def cli(*argv):
     return rc, out.getvalue(), err.getvalue()
 
 
+def fresh_cli(*argv, timeout=None):
+    """The console script in a fresh interpreter that imports this
+    checkout's package."""
+    from nicfdim import cli as cli_module
+
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "nicfdim.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 def test_bits_is_an_appendix_option():
     # before the subcommand the message says where --bits lives
     rc, out, err = cli("--bits", "64", "dim", "--alphabet", "-3,3")
@@ -331,6 +343,41 @@ def test_letter_counts_are_capped_when_parsed(argv, option):
     rc, out, err = cli(*argv, option, "100001")
     assert rc == 2 and out == ""
     assert f"argument {option}: at most 100,000" in err
+
+
+@pytest.mark.parametrize("argv, option, cap", [
+    (("dim", "--alphabet=-3,3"), "--depth", 100_000),
+    (("pressure", "--alphabet=-3,3", "--t-grid", "0:1:1"), "--depth", 100_000),
+    (("spectrum", "--target", "0.3"), "--depth", 100_000),
+    (("appendix", "--example", "cycle4", "--t-grid", "0:1:1"), "--max-len", 1_000),
+])
+def test_depth_and_max_len_are_capped_when_parsed(argv, option, cap, capsys):
+    # parsed only: over the cap, running the command could take hours
+    parser = build_parser()
+    args = parser.parse_args([*argv, option, str(cap)])
+    assert getattr(args, option[2:].replace("-", "_")) == cap
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([*argv, option, str(cap + 1)])
+    assert exc.value.code == 2
+    assert f"argument {option}: at most {cap:,}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("dim --alphabet=-3,3 --depth 100000", 0),
+    ("spectrum --target 0.3 --budget 4 --depth 100000", 0),
+    ("pressure --alphabet=-3,3 --t-grid 0.5:0.5:1 --depth 1000000", 2),
+    ("pressure --alphabet absmin:3:4 --depth 1 --t-grid 1e9:1e9:1", 4),
+    ("pressure --alphabet absmin:3:4 --depth 1 "
+     "--t-grid 1000000000.5:1000000000.5:1", 4),
+    ("appendix --example cycle4 --t-grid 1000000:1000000:1", 4),
+    ("appendix --example cycle4 --t-grid 0.125:0.125:1 --bits 100000", 4),
+    ("appendix --example triangle6 --t-grid 0.125:0.125:1 --max-len 100000", 2),
+])
+def test_huge_arguments_exit_promptly(argv, code):
+    # a fresh process with a timeout, so a regression fails instead of hanging
+    proc = fresh_cli(*argv.split(), timeout=20)
+    assert proc.returncode == code, proc.stderr
+    assert code == 0 or proc.stderr
 
 
 def test_pressure_beyond_the_double_range_exits_numeric_range():
@@ -425,10 +472,6 @@ def test_main_reuses_one_parser(monkeypatch):
     again = cli(*argv)
     assert len(builds) == 1
 
-    src = str(Path(cli_module.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    fresh = subprocess.run([sys.executable, "-m", "nicfdim.cli", *argv],
-                           capture_output=True, text=True, env=env, check=False)
+    fresh = fresh_cli(*argv)
     assert first == again == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert fresh.returncode == 0 and fresh.stdout

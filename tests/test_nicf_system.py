@@ -162,10 +162,13 @@ def test_system_constants_widths():
 
 
 def test_surd_constants_are_enclosed_at_surd_bits():
-    from nicfdim.pressure_dim import _digit_k
+    from nicfdim.pressure_dim import DigitIfs
+    from nicfdim.symbolic import AlphabetSelection
+    digit_k = [DigitIfs(AlphabetSelection.explicit([b])).k_interval()
+               for b in (3, 4)]
     constants = (alpha_interval(), beta4_interval(), k_prec4_interval(),
                  run_factor_interval(), k4_printed_interval(),
-                 k4_corrected_interval(), _digit_k(True), _digit_k(False))
+                 k4_corrected_interval(), *digit_k)
     for iv in constants:
         assert 0 < iv.width <= F(1, 2 ** 120)
 

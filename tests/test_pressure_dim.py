@@ -16,7 +16,7 @@ from nicfdim.exactnum import (
     pow_iv,
 )
 from nicfdim.ledger import letter_constants
-from nicfdim.nicf_system import LoopLetter, norm_bounds
+from nicfdim.nicf_system import LoopLetter, norm_bounds, vertex_alphabet
 from nicfdim.pressure_dim import (
     DigitIfs,
     LoopIfs,
@@ -275,6 +275,16 @@ def test_vertex_cylinders_tile_x_v(j_max, k_max):
     assert covered <= 1 <= covered + vertex_tail_bound(F(1), j_max, k_max).hi
 
 
+def test_tailed_loop_ifs_needs_its_grid():
+    grid = vertex_system(4, 12).letters
+    assert vertex_system(4, 12) == LoopIfs(grid, (4, 12))
+    for letters in (grid[:-1], grid + (LoopLetter(1, 5, 3),), grid[::-1]):
+        with pytest.raises(ValueError, match="letters of its grid"):
+            LoopIfs(letters, (4, 12))
+    with pytest.raises(ValueError, match="letters of its grid"):
+        LoopIfs(grid, (4, 13))
+
+
 def test_vertex_system_partition():
     vs = vertex_system(5, 15)
     z = partition_sum(vs, F(3, 4), 1)
@@ -383,6 +393,17 @@ def test_appendix_triangle6():
         appendix_example("cycle4", {e: F(3, 2) for e in (1, 2, 3, 4)})
     with pytest.raises(ValueError, match="unknown appendix example"):
         appendix_example("pentagon", {})
+
+
+def test_appendix_triangle6_turned_loops():
+    # distinct ratios tell the edges apart, so the loops of w and z, derived
+    # by turning v's, must be the loops the graph enumerates
+    ap = appendix_example("triangle6", {e: F(1, 2 + i) for i, e in enumerate("abcdef")})
+    for vertex in ("v", "w", "z"):
+        for t in (F(1, 4), F(1, 2), F(1)):
+            closed = ap.closed_pressure(vertex, t, bits=128)
+            enc = ap.enumerated_pressure(vertex, t, 16)
+            assert enc.lo <= closed.lo and closed.hi <= enc.hi
 
 
 def test_classify_nature():
@@ -704,3 +725,26 @@ def test_ladder_never_exceeds_the_word_budget():
     ladder = system.ladder(12, pressure_dim.WORD_BUDGET)
     assert system.ladder(12, 10 ** 7) == ladder
     assert system.letter_count ** ladder[-1] <= pressure_dim.WORD_BUDGET
+
+
+def _walk_down_ladder(system, max_depth, word_budget):
+    """The ladder with its cap walked down from max_depth, one depth a step."""
+    cap = max_depth
+    while system._over_budget(cap, min(word_budget, pressure_dim.WORD_BUDGET)):
+        cap -= 1
+    ns = []
+    n = 1
+    while n < cap:
+        ns.append(n)
+        n *= 2
+    return ns + [cap]
+
+
+def test_ladder_matches_a_walk_down_reference():
+    letters = tuple(vertex_alphabet(40))
+    for count in range(41):
+        system = LoopIfs(letters[:count])
+        for max_depth in range(1, 65):
+            for budget in (1, 100, 4096, pressure_dim.WORD_BUDGET, 10 ** 7):
+                assert (system.ladder(max_depth, budget)
+                        == _walk_down_ladder(system, max_depth, budget))
