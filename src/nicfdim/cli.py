@@ -25,14 +25,14 @@ grid holds at most 100,000 points (checked before any row is computed).
 be at least 1, ``--count``, ``--budget`` and ``--depth`` at most 100,000
 (letters are listed before any output, and a one-letter word tree is
 not bounded by the word budget), and ``--max-len`` at most 1,000, when
-the arguments are parsed.  Alphabet specs are parsed for syntax only;
-the alphabet rules are ``AlphabetSelection``'s.  ``--bits`` is an
-``appendix`` option only (the precision of the worked examples' exact
-roots); ``dim``, ``pressure`` and ``spectrum`` enclose the distortion
-constant K at one fixed precision (128-bit surds), so no option sets
-it.  ``main`` builds its parser once per process and reuses it.  All
-numeric CSV fields are shortest-round-trip doubles rounded outward from
-the exact rational bounds, so downstream consumers keep two-sided rigor.
+the arguments are parsed; a range spec may hold 100,000 letters, and a
+``dim --tol`` must be positive.  ``--bits`` is an ``appendix`` option
+only (the precision of the worked examples' exact roots); ``dim``,
+``pressure`` and ``spectrum`` enclose the distortion constant K at one
+fixed precision (128-bit surds), so no option sets it.  ``main`` builds
+its parser once per process and reuses it.  All numeric CSV fields are
+shortest-round-trip doubles rounded outward from the exact rational
+bounds, so downstream consumers keep two-sided rigor.
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ class SpecParseError(ValueError):
         self.offset = offset
 
 
+_MAX_COUNT = 100_000  # most range letters, grid points, --count, --budget, --depth
+_MAX_LEN = 1_000  # longest appendix loop, --max-len
+
 # range form -> (separator, usage, AlphabetSelection constructor)
 _RANGE_FORMS = {
     "abs": ("..", "abs:LO..HI", "abs_range"),
@@ -86,9 +89,10 @@ _RANGE_FORMS = {
 def parse_alphabet_spec(text: str) -> AlphabetSelection:
     """Grammar: spec := item ("," item)*
     item := INT | "abs:" INT ".." INT | "absmin:" INT ":" INT
-    Whitespace is ignored; INT may be negative only in the bare form.
-    Only the syntax is checked here; the alphabet rules are
-    ``AlphabetSelection``'s, and their errors are reported at byte 0."""
+    Whitespace is ignored; INT may be negative only in the bare form.  Only
+    the syntax and a range form's size (at most _MAX_COUNT letters) are
+    checked here; the alphabet rules are ``AlphabetSelection``'s, and
+    their errors are reported at byte 0."""
     stripped = "".join(text.split())
     if not stripped:
         raise SpecParseError("empty spec", 0)
@@ -109,6 +113,9 @@ def parse_alphabet_spec(text: str) -> AlphabetSelection:
             fail(0, f"expected {usage}")
         make = getattr(AlphabetSelection, kind)
         args = [_int_or_fail(s, 0, fail) for s in body.split(sep, 1)]
+        count = 2 * (args[1] - args[0] + 1)
+        if count > _MAX_COUNT:
+            fail(0, f"the range has {count:,} letters, over {_MAX_COUNT:,}")
     else:
         letters: List[int] = []
         for i, item in enumerate(items):
@@ -134,10 +141,6 @@ def _parse_rational(s: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {s!r} ({exc})")
-
-
-_MAX_COUNT = 100_000  # most t-grid points, and most --count, --budget or --depth
-_MAX_LEN = 1_000  # longest appendix loop, --max-len
 
 
 def _parse_t_grid(spec: str) -> List[Fraction]:

@@ -12,7 +12,7 @@ pressure never need a limit:
     Z_n <= 1      certifies  P_F(t) <= 0,
     Z_n >= K**t   certifies  P_F(t) >= 0.
 
-Dimension intervals come from bisection on t using only such
+Dimension intervals come from doubling t, then bisection, on only such
 certificates; no uncertified digit is ever emitted.  Each probe t walks
 the depth ladder once (``_sign_verdict``): every Z_n(t) is computed once
 and the walk stops at the first certificate of either sign.  Both hold
@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -357,6 +357,12 @@ def _z_exact(mats, n: int, t: Fraction, bits: int) -> Interval:
 # exponent tf != t adds |t - tf| |log base| <= t u 2 log(dmax), counted
 # twice.  Subnormal terms are still exact to 2**-1070 absolute.
 _TERM_SLACK = 2.0 ** -44
+# Every letter contracts by at most 4/25: a digit b by 4/(2|b|-1)**2, a
+# run letter 2^j k by (1/4)**j 4/25 at most (chain rule).  So a depth-n
+# word has d**2 = 4/sup >= 4 (25/4)**n > 2**1024 from n = 387 on, where
+# every base overflows: such a depth is refused before any word is walked.
+_FLOAT_DEPTH = 387
+_FLOAT_RANGE = "a depth-{} word denominator exceeds the float range"
 
 
 @lru_cache(maxsize=_WORD_CACHE_SIZE)
@@ -379,12 +385,13 @@ def _word_bases(mats: Tuple[Tuple[int, int, int, int], ...], n: int):
             for a, b, c, dd in mats:
                 stack.append((depth + 1, a * q + b * qp, c * q + dd * qp))
     except OverflowError:
-        raise NumericRangeError(
-            f"a depth-{n} word denominator exceeds the float range") from None
+        raise NumericRangeError(_FLOAT_RANGE.format(n)) from None
     return bases, dmax
 
 
 def _z_float(mats, n: int, t: Fraction) -> Interval:
+    if n >= _FLOAT_DEPTH:
+        raise NumericRangeError(_FLOAT_RANGE.format(n))
     tf = float(t)
     bases, dmax = _word_bases(tuple(mats), n)
     raw = 0.0
@@ -533,62 +540,51 @@ class DimensionInterval:
         return self.lo <= x <= self.hi
 
 
-_UPPER_STARTS = (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(3))
+_MAX_PROBES = 128  # most sign walks of one dim_interval
 
 
 def dim_interval(system, max_depth: int, tol, *,
                  word_budget: int = WORD_BUDGET) -> DimensionInterval:
     """Certified enclosure of the Bowen root by bisection on t.
 
-    The left endpoint always carries a P >= 0 certificate (t = 0 needs
-    none) and the right endpoint a P <= 0 certificate.  Each probe t is
-    decided by one walk up the depth ladder (``_sign_verdict``), so no
-    Z_n(t) is computed twice.  When neither side certifies at a midpoint,
-    both flanks are refined independently and the straddle widens the
-    result rather than guessing.
+    The left end carries a P >= 0 certificate (t = 0 needs none) and the
+    right end a P <= 0 certificate, first from the doubling probes t = 1,
+    2, 4, ...  Each probe is one ``_sign_verdict`` walk; no t is walked
+    twice.  Certificates are rigorous and Z_n falls with t, so undecided
+    probes lie between the ends: after the first, the flanks left of the
+    lowest and right of the highest are bisected down to tol / 2, and the
+    straddle widens the result rather than guessing.  As Z_1(t) -> 0, a
+    right end comes long before ``_MAX_PROBES`` (``NumericRangeError``).
     """
     system = as_system(system)
     tol = Fraction(tol)
-    verdict = partial(_sign_verdict, system, max_depth=max_depth,
-                      word_budget=word_budget)
-    a = Fraction(0)
-    b = None
-    for cand in _UPPER_STARTS:
-        if verdict(cand) < 0:
-            b = cand
+    if tol <= 0:
+        raise ValueError(f"the tolerance must be positive, got {tol}")
+    a, b = Fraction(0), None
+    low = high = None  # the lowest and highest undecided probe
+    t = Fraction(1)
+    for _ in range(_MAX_PROBES):
+        sign = _sign_verdict(system, t, max_depth, word_budget)
+        if sign > 0:
+            a = t
+        elif sign < 0:
+            b = t
+        else:
+            low = t if low is None else min(low, t)
+            high = t if high is None else max(high, t)
+        if b is None:
+            t *= 2
+        elif low is None and b - a > tol:
+            t = (a + b) / 2
+        elif low is not None and low - a > tol / 2:
+            t = (a + low) / 2
+        elif low is not None and b - high > tol / 2:
+            t = (high + b) / 2
+        else:
             break
     if b is None:
-        # no upper certificate at desk depth: report the honest wide interval
-        return DimensionInterval(a, _UPPER_STARTS[-1], max_depth, tol)
-
-    iterations = 0
-    while b - a > tol and iterations < 80:
-        iterations += 1
-        m = (a + b) / 2
-        sign = verdict(m)
-        if sign > 0:
-            a = m
-        elif sign < 0:
-            b = m
-        else:
-            a = _refine_flank(a, m, tol, lambda t: verdict(t) > 0)
-            b = _refine_flank(b, m, tol, lambda t: verdict(t) < 0)
-            break
+        raise NumericRangeError(f"no t up to {t / 2} certifies P(t) <= 0")
     return DimensionInterval(a, b, max_depth, tol)
-
-
-def _refine_flank(good, bad, tol, certify) -> Fraction:
-    """Push the endpoint ``good``, which ``certify`` holds at, toward the
-    indeterminate midpoint ``bad``."""
-    steps = 0
-    while abs(bad - good) > tol / 2 and steps < 24:
-        steps += 1
-        m = (good + bad) / 2
-        if certify(m):
-            good = m
-        else:
-            bad = m
-    return good
 
 
 # ---------------------------------------------------------------------------

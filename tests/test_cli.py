@@ -475,3 +475,30 @@ def test_main_reuses_one_parser(monkeypatch):
     fresh = fresh_cli(*argv)
     assert first == again == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert fresh.returncode == 0 and fresh.stdout
+
+
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_dim_tolerance_must_be_positive(tol):
+    rc, out, err = cli("dim", "--alphabet=-3,3", "--depth", "16", f"--tol={tol}")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "tolerance must be positive" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_range_specs_are_capped_before_any_letter_is_built():
+    assert len(parse_alphabet_spec("abs:3..50002").letters) == 100_000
+    with pytest.raises(SpecParseError, match="100,002 letters, over 100,000"):
+        parse_alphabet_spec("abs:3..50003")
+    rc, out, err = cli("dim", "--alphabet", "abs:3..50003", "--depth", "2")
+    assert rc == 2 and out == "" and "100,002 letters" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("dim --alphabet absmin:3:1000000000 --depth 2", 2),
+    ("pressure --alphabet 3 --depth 100000 --t-grid 0.5:0.5:1", 4),
+])
+def test_huge_alphabets_and_one_letter_depths_exit_promptly(argv, code):
+    # a fresh process with a timeout, so a regression fails instead of hanging
+    proc = fresh_cli(*argv.split(), timeout=20)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1

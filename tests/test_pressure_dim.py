@@ -748,3 +748,100 @@ def test_ladder_matches_a_walk_down_reference():
             for budget in (1, 100, 4096, pressure_dim.WORD_BUDGET, 10 ** 7):
                 assert (system.ladder(max_depth, budget)
                         == _walk_down_ladder(system, max_depth, budget))
+
+
+def _similarity_root(ratios, families):
+    """The float root s of sum r**s + sum b**s / (1 - r**s) = 1."""
+    def excess(s):
+        return (sum(float(r) ** s for r in ratios)
+                + sum(float(b) ** s / (1 - float(r) ** s) for b, r in families)
+                - 1)
+    lo, hi = 1e-9, 64.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+    return (lo + hi) / 2
+
+
+def _recorded_probes(monkeypatch):
+    """The t of every ``_sign_verdict`` walk, recorded as it is made."""
+    probes = []
+    verdict = pressure_dim._sign_verdict
+
+    def recording(system, t, max_depth, word_budget):
+        probes.append(t)
+        return verdict(system, t, max_depth, word_budget)
+
+    monkeypatch.setattr(pressure_dim, "_sign_verdict", recording)
+    return probes
+
+
+def test_dim_above_three_is_enclosed(monkeypatch):
+    # 100 letters of ratio 1/2 have dimension log2(100) = 6.64: the right
+    # end comes from doubling t, certified, never an uncertified 3
+    probes = _recorded_probes(monkeypatch)
+    di = dim_interval(SimilarityIfs(ratios=(F(1, 2),) * 100), 4, F(1, 100))
+    assert di.contains(F(math.log2(100))) and di.achieved()
+    assert probes[:4] == [1, 2, 4, 8]
+    assert len(probes) == len(set(probes))
+
+
+def test_dim_walks_no_t_twice_across_undecided_probes(monkeypatch):
+    # the vertex system has dimension 1 and leaves t = 1 undecided
+    probes = _recorded_probes(monkeypatch)
+    di = dim_interval(vertex_system(4, 12), 2, F(1, 1000))
+    assert probes[:2] == [1, 2] and di.contains(1) and di.hi < F(5, 4)
+    assert len(probes) == len(set(probes))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ratios=st.lists(st.integers(2, 9).map(lambda k: F(1, k)),
+                       min_size=1, max_size=60),
+       families=st.lists(st.tuples(st.integers(2, 9), st.integers(2, 9)).map(
+           lambda p: (F(1, p[0]), F(1, p[1]))), max_size=1))
+@example(ratios=[F(1, 2)] * 60, families=[(F(1, 2), F(1, 2))])  # dimension 6
+def test_similarity_dim_encloses_the_float_root(ratios, families):
+    system = SimilarityIfs(ratios=tuple(ratios), families=tuple(families))
+    tol = F(1, 64)
+    di = dim_interval(system, 1, tol)
+    root = _similarity_root(ratios, families)
+    assert di.lo - 1e-9 <= root <= di.hi + 1e-9
+    assert di.width <= tol
+
+
+@pytest.mark.parametrize("tol", [0, -1])
+def test_dim_tolerance_must_be_positive(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        dim_interval(PM3, 4, tol)
+
+
+def test_dim_without_a_right_end_is_out_of_range(monkeypatch):
+    # never an uncertified right end: every probe certifying P >= 0 runs
+    # out of probes and raises
+    monkeypatch.setattr(pressure_dim, "_sign_verdict", lambda *_: 1)
+    with pytest.raises(NumericRangeError, match="certifies P"):
+        dim_interval(PM3, 4, F(1, 50))
+
+
+def test_float_range_depth_is_refused_before_any_word(monkeypatch):
+    # a one-letter tree stays within the word budget at every depth, but
+    # from depth 387 on every denominator leaves the double range
+    from nicfdim.pressure_dim import _FLOAT_DEPTH, _letter_matrix, _word_bases
+    with pytest.raises(NumericRangeError, match="float range"):
+        _word_bases((_letter_matrix((3,)),), _FLOAT_DEPTH)
+
+    def walk(*_):
+        raise AssertionError("a word tree was walked")
+
+    monkeypatch.setattr(pressure_dim, "_word_bases", walk)
+    for t in (F(1, 2), F(1)):
+        with pytest.raises(NumericRangeError, match="depth-100000 word"):
+            partition_sum(S3, t, 100_000)
+    assert partition_sum(S3, 0, 100_000).lo == 1  # t = 0 walks no word
+    # a divergent tail still raises first (the budget lifted to reach it)
+    monkeypatch.setattr(DigitIfs, "_over_budget", lambda *_: False)
+    cofinite = AlphabetSelection.cofinite(3, 3)
+    with pytest.raises(DivergentTailError):
+        partition_sum(cofinite, F(1, 2), _FLOAT_DEPTH)
+    with pytest.raises(NumericRangeError, match="float range"):
+        partition_sum(cofinite, F(3, 4), _FLOAT_DEPTH)
