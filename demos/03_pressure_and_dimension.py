@@ -10,9 +10,9 @@ from fractions import Fraction as F
 
 from nicfdim import (
     AlphabetSelection,
+    DigitIfs,
     DivergentTailError,
     dim_interval,
-    finiteness_exponent,
     partition_sum,
     pressure_bounds,
 )
@@ -45,7 +45,7 @@ print()
 
 print("== the cofinite tail diverges at and below t = 1/2 ==")
 cof = AlphabetSelection.cofinite(3, 60)
-print("  theta =", finiteness_exponent(cof).theta)
+print("  theta =", DigitIfs(cof).theta)
 try:
     partition_sum(cof, F(1, 2), 1)
     print("  Z_1(1/2) divergent: False")

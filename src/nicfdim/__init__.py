@@ -47,15 +47,11 @@ from .nicf_system import (
 from .pressure_dim import (
     AppendixSystem,
     DigitIfs,
-    DimensionInterval,
-    FinitenessExponent,
     LoopIfs,
-    PressureBounds,
     SimilarityIfs,
     appendix_example,
     classify_nature,
     dim_interval,
-    finiteness_exponent,
     partition_sum,
     pressure_bounds,
     vertex_system,

@@ -10,11 +10,12 @@ Subcommands map one-to-one onto library capabilities:
     vertex-letters                              the induced-alphabet ordering
     appendix                                    worked similarity systems
 
-Exit codes: 0 success, 2 parse errors, 3 indeterminate certification
-(a dimension tolerance that was not achieved, or a ``spectrum`` sweep
-that certified no letter), 4 a numeric-range failure (a word
-denominator, partition sum or any other value outside the double range,
-or an exact power over 2**16 bits, see ``exactnum.pow_enclosure``).  A
+Exit codes: 0 success, 1 stdout closed by its reader (no traceback), 2
+parse errors, 3 indeterminate certification (a dimension tolerance that
+was not achieved, or a ``spectrum`` sweep that certified no letter), 4
+a numeric-range failure (a word denominator, partition sum or any other
+value outside the double range, or an exact power over 2**16 bits, see
+``exactnum.pow_enclosure``).  A
 divergent sum is a result, not an error: ``pressure`` prints ``inf`` at
 every t at or below theta, and ``appendix`` prints ``inf`` rows for a
 vertex with a loop family at every t <= 0.  Every ``--t-grid`` start,
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -76,7 +78,7 @@ class SpecParseError(ValueError):
         self.offset = offset
 
 
-_MAX_COUNT = 100_000  # most range letters, grid points, --count, --budget, --depth
+_MAX_COUNT = 100_000  # most grid points, --count, --budget, --depth
 _MAX_LEN = 1_000  # longest appendix loop, --max-len
 
 # range form -> (separator, usage, AlphabetSelection constructor)
@@ -90,9 +92,9 @@ def parse_alphabet_spec(text: str) -> AlphabetSelection:
     """Grammar: spec := item ("," item)*
     item := INT | "abs:" INT ".." INT | "absmin:" INT ":" INT
     Whitespace is ignored; INT may be negative only in the bare form.  Only
-    the syntax and a range form's size (at most _MAX_COUNT letters) are
-    checked here; the alphabet rules are ``AlphabetSelection``'s, and
-    their errors are reported at byte 0."""
+    the syntax is checked here; the alphabet rules, a range form's size
+    included, are ``AlphabetSelection``'s, and their errors are reported
+    at byte 0."""
     stripped = "".join(text.split())
     if not stripped:
         raise SpecParseError("empty spec", 0)
@@ -113,9 +115,6 @@ def parse_alphabet_spec(text: str) -> AlphabetSelection:
             fail(0, f"expected {usage}")
         make = getattr(AlphabetSelection, kind)
         args = [_int_or_fail(s, 0, fail) for s in body.split(sep, 1)]
-        count = 2 * (args[1] - args[0] + 1)
-        if count > _MAX_COUNT:
-            fail(0, f"the range has {count:,} letters, over {_MAX_COUNT:,}")
     else:
         letters: List[int] = []
         for i, item in enumerate(items):
@@ -205,8 +204,8 @@ def _cmd_dim(args) -> int:
     tol = _parse_rational(args.tol)
     di = dim_interval(DigitIfs(sel), args.depth, tol)
     print(json.dumps({"lo": _out_lo(di.lo), "hi": _out_hi(di.hi),
-                      "depth": di.depth}))
-    return 0 if di.achieved() else INDETERMINATE
+                      "depth": args.depth}))
+    return 0 if di.width <= tol else INDETERMINATE
 
 
 def _cmd_pressure(args) -> int:
@@ -388,7 +387,13 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.cmd](args)
+        code = _DISPATCH[args.cmd](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send the interpreter's last flush nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except NumericRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_RANGE

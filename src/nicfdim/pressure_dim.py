@@ -34,7 +34,8 @@ Every system (``DigitIfs``, ``LoopIfs``, ``SimilarityIfs``) offers the
 same members: ``letter_count``, ``infinite_alphabet``, ``theta``,
 ``k_interval()``, ``ladder(max_depth, word_budget)`` and
 ``partition_sum_body(t, n)``; the functions below call those
-instead of asking which kind of system they hold.  ``k_interval()``
+instead of asking which kind of system they hold.  ``pressure_bounds``
+and ``dim_interval`` return plain ``Interval``s.  ``k_interval()``
 encloses K with 128-bit surds (``nicf_system.SURD_BITS``): K enters the
 bounds only through ``log K`` in doubles or ``K**t``, so a finer surd
 would move no bound by more than about 2**-120.
@@ -53,7 +54,6 @@ from .exactnum import (
     DivergentTailError,
     Interval,
     NumericRangeError,
-    float_up,
     interval_pow,
     log_interval,
     next_down,
@@ -93,7 +93,8 @@ class _WordTreeIfs:
 
     @property
     def theta(self) -> Fraction:
-        """Finiteness exponent: tail letters have mass ~ (k - 1/2)**(-2t)."""
+        """Finiteness exponent inf{t : Z_1(t) converges}: tail letters
+        have mass ~ (k - 1/2)**(-2t), so 1/2 for an infinite alphabet."""
         return HALF if self.infinite_alphabet else Fraction(0)
 
     def _over_budget(self, n: int, budget: int) -> bool:
@@ -103,6 +104,8 @@ class _WordTreeIfs:
     def ladder(self, max_depth: int, word_budget: int) -> List[int]:
         """Depths 1, 2, 4, ... up to the deepest within both budgets.  The
         cap counts up, so it takes O(log budget) steps at any max_depth."""
+        if max_depth < 1:  # the ladder is where a depth cap becomes depths
+            raise ValueError(f"needs max_depth >= 1, got {max_depth}")
         cap = max_depth if self.letter_count <= 1 else 1
         while cap < max_depth and not self._over_budget(
                 cap + 1, min(word_budget, WORD_BUDGET)):
@@ -238,6 +241,8 @@ class SimilarityIfs:
     families: Tuple[Tuple[Fraction, Fraction], ...] = ()
 
     def __post_init__(self):
+        if not (self.ratios or self.families):
+            raise ValueError("empty alphabet")
         for r in self.ratios:
             if not 0 < r < 1:
                 raise ValueError("not a contraction")
@@ -247,7 +252,7 @@ class SimilarityIfs:
 
     @property
     def letter_count(self) -> int:
-        return max(len(self.ratios) + len(self.families), 1)
+        return len(self.ratios) + len(self.families)
 
     @property
     def infinite_alphabet(self) -> bool:
@@ -261,6 +266,8 @@ class SimilarityIfs:
         return Interval.point(Fraction(1))
 
     def ladder(self, max_depth: int, word_budget: int) -> List[int]:
+        if max_depth < 1:
+            raise ValueError(f"needs max_depth >= 1, got {max_depth}")
         return [1]  # Z_n = Z_1**n, deeper adds nothing
 
     def partition_sum_body(self, t: Fraction, n: int):
@@ -457,21 +464,9 @@ def partition_sum(system, t: Fraction, n: int, *, threads: int = 1):
 # pressure bounds and the sign walk
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PressureBounds:
-    t: Fraction
-    lo: Fraction
-    hi: Fraction
-    depth: int
-    k_used: Fraction
-
-    def interval(self) -> Interval:
-        return Interval(self.lo, self.hi)
-
-
-def pressure_bounds(system, t: Fraction, n: int):
-    """Two-sided pressure enclosure at depth n.  Raises
-    ``DivergentTailError`` where Z_n diverges (P(t) = +inf)."""
+def pressure_bounds(system, t: Fraction, n: int) -> Interval:
+    """[(log Z_n - t log K) / n, (log Z_n) / n], an enclosure of P(t).
+    Raises ``DivergentTailError`` where Z_n diverges (P(t) = +inf)."""
     system = as_system(system)
     t = Fraction(t)
     z = partition_sum(system, t, n)
@@ -479,16 +474,9 @@ def pressure_bounds(system, t: Fraction, n: int):
         raise NumericRangeError(
             "partition sum vanishes at this precision; no finite lower "
             "pressure bound at this depth/exponent")
-    k = system.k_interval()
     log_z = log_interval(z)
-    log_k_t = log_interval(k) * t
-    return PressureBounds(
-        t=t,
-        lo=Fraction(log_z.lo - log_k_t.hi, n),
-        hi=Fraction(log_z.hi, n),
-        depth=n,
-        k_used=k.hi,
-    )
+    log_k_t = log_interval(system.k_interval()) * t
+    return Interval(Fraction(log_z.lo - log_k_t.hi, n), Fraction(log_z.hi, n))
 
 
 def _sign_verdict(system, t: Fraction, max_depth: int, word_budget: int) -> int:
@@ -521,31 +509,13 @@ def _sign_verdict(system, t: Fraction, max_depth: int, word_budget: int) -> int:
 # dimension intervals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DimensionInterval:
-    lo: Fraction
-    hi: Fraction
-    depth: int
-    target_tol: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def achieved(self) -> bool:
-        return self.width <= self.target_tol
-
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
-
-
 _MAX_PROBES = 128  # most sign walks of one dim_interval
 
 
 def dim_interval(system, max_depth: int, tol, *,
-                 word_budget: int = WORD_BUDGET) -> DimensionInterval:
-    """Certified enclosure of the Bowen root by bisection on t.
+                 word_budget: int = WORD_BUDGET) -> Interval:
+    """Certified enclosure [a, b] of the Bowen root by bisection on t;
+    the caller compares its width with tol.
 
     The left end carries a P >= 0 certificate (t = 0 needs none) and the
     right end a P <= 0 certificate, first from the doubling probes t = 1,
@@ -584,38 +554,12 @@ def dim_interval(system, max_depth: int, tol, *,
             break
     if b is None:
         raise NumericRangeError(f"no t up to {t / 2} certifies P(t) <= 0")
-    return DimensionInterval(a, b, max_depth, tol)
+    return Interval(a, b)
 
 
 # ---------------------------------------------------------------------------
-# finiteness exponents and regularity
+# regularity
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FinitenessExponent:
-    theta: Fraction
-    witness: Mapping[str, object]
-
-
-def finiteness_exponent(system) -> FinitenessExponent:
-    """theta = inf{t : Z_1(t) converges}, with certificates around it."""
-    system = as_system(system)
-    if not system.infinite_alphabet:
-        return FinitenessExponent(Fraction(0), {"reason": "finite alphabet"})
-    if system.theta == 0:
-        w = {"diverges_at": "0 (infinitely many letters)",
-             "converges_for": "every t > 0 (geometric families)"}
-        return FinitenessExponent(Fraction(0), w)
-    t_conv = system.theta + Fraction(1, 16)
-    z1 = partition_sum(system, t_conv, 1)
-    w = {
-        "diverges_at": "every t <= 1/2: the one-letter sum dominates a tail "
-                       "of sum (k - 1/2)**(-2t) with 2t <= 1 (integral test)",
-        "converges_at": str(t_conv),
-        "z1_upper_at_witness": float_up(z1.hi),
-    }
-    return FinitenessExponent(system.theta, w)
-
 
 _NATURE_GRID = (Fraction(9, 16), Fraction(5, 8), Fraction(3, 4), Fraction(7, 8),
                 Fraction(1, 4), Fraction(1, 2), Fraction(1, 8))
@@ -717,7 +661,6 @@ class VertexLoopSpec:
 
 @dataclass(frozen=True)
 class AppendixSystem:
-    name: str
     graph: GraphSystem
     ratios: Mapping[object, Fraction]
     loop_specs: Mapping[str, VertexLoopSpec]
@@ -813,7 +756,7 @@ def appendix_example(name: str, ratios: Mapping[object, Fraction]) -> AppendixSy
             "w": VertexLoopSpec(singles=((s, 3), (r, 2))),
             "z": VertexLoopSpec(singles=((s, 3), (r, 2))),
         }
-        return AppendixSystem("cycle4", g, ratios, specs)
+        return AppendixSystem(g, ratios, specs)
 
     initial = {"a": "v", "b": "w", "c": "w", "d": "z", "e": "v", "f": "z"}
     terminal = {"a": "w", "b": "v", "c": "z", "d": "w", "e": "z", "f": "v"}
@@ -833,4 +776,4 @@ def appendix_example(name: str, ratios: Mapping[object, Fraction]) -> AppendixSy
     for vertex in ("v", "w", "z"):
         specs[vertex] = VertexLoopSpec(families=tuple(fam(*l) for l in loops))
         loops = tuple((b.translate(turn), c.translate(turn)) for b, c in loops)
-    return AppendixSystem("triangle6", g, ratios, specs)
+    return AppendixSystem(g, ratios, specs)

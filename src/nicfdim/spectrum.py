@@ -22,12 +22,12 @@ the target is rejected; the achieved interval can only approach the
 target from below.  The orderings are not stated here: phi_f walks
 ``symbolic.paper_order(3)`` (``phi_f_ordering``) and phi_v the block
 order of ``nicf_system.vertex_alphabet``.  The trace keeps the letter
-sequence once, as its decisions.
+sequence once, as its decisions; ``achieved`` is a plain ``Interval``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import islice
@@ -39,7 +39,6 @@ from .nicf_system import LoopLetter, vertex_alphabet
 from .pressure_dim import (
     WORD_BUDGET,
     DigitIfs,
-    DimensionInterval,
     LoopIfs,
     _sign_verdict,
     as_system,
@@ -187,9 +186,14 @@ class Decision:
 class SpectrumTrace:
     target: Fraction
     system: str
+    depth: int                          # construct's depth cap
     decisions: Tuple[Decision, ...]     # one per letter of the ordering
-    final_letters: Tuple[str, ...]
-    achieved: DimensionInterval
+    achieved: Interval                  # the final set's dimension
+
+    @property
+    def final_letters(self) -> Tuple[str, ...]:
+        """The accepted letters, in the order they were decided."""
+        return tuple(d.letter for d in self.decisions if d.accepted)
 
     def to_json_dict(self) -> dict:
         return {
@@ -205,7 +209,7 @@ class SpectrumTrace:
             "achieved": {
                 "lo": float_down(self.achieved.lo),
                 "hi": float_up(self.achieved.hi),
-                "depth": self.achieved.depth,
+                "depth": self.depth,
             },
         }
 
@@ -269,14 +273,7 @@ def construct(target, system: str, budget: int, depth: int) -> SpectrumTrace:
                                 word_budget=_CONSTRUCT_WORD_BUDGET)
         # the final set is the last accepted tentative set, whose
         # P(target) <= 0 certificate already bounds its dimension by the target
-        achieved = replace(achieved, hi=min(achieved.hi, target))
+        achieved = Interval(achieved.lo, min(achieved.hi, target))
     else:  # no letter certified: the empty set has dimension 0
-        achieved = DimensionInterval(Fraction(0), Fraction(0), depth,
-                                     _ACHIEVED_TOL)
-    return SpectrumTrace(
-        target=target,
-        system=system,
-        decisions=tuple(decisions),
-        final_letters=tuple(str(x) for x in accepted),
-        achieved=achieved,
-    )
+        achieved = Interval.point(0)
+    return SpectrumTrace(target, system, depth, tuple(decisions), achieved)

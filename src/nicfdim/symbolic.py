@@ -13,8 +13,9 @@ iterated function system induced at v.
 Digit alphabets: ``paper_order(lo)`` is the one home of the paper's
 digit order -lo, lo, -(lo+1), lo+1, ...; ``AlphabetSelection`` takes its
 range letters from it and is the one home of the alphabet rules: explicit
-digits are distinct with |b| >= 2, and the range forms need |b| >= 3 and
-a non-empty range (a truncation no lower than the lower bound).
+digits are distinct with |b| >= 2, and the range forms need |b| >= 3, a
+non-empty range (a truncation no lower than the lower bound) and at most
+``MAX_RANGE_LETTERS`` letters.
 """
 
 from __future__ import annotations
@@ -156,6 +157,21 @@ def paper_order(lo: int) -> Iterator[int]:
         yield k
 
 
+MAX_RANGE_LETTERS = 100_000  # most letters of one range form
+
+
+def _range_letters(lo: int, hi: int, empty: str) -> Tuple[int, ...]:
+    """The digits lo <= |b| <= hi in paper order, sized before any is built."""
+    count = 2 * (hi - lo + 1)
+    if count > MAX_RANGE_LETTERS:
+        raise ValueError(f"the range has {count:,} letters, over {MAX_RANGE_LETTERS:,}")
+    if lo < 3:
+        raise ValueError("digits |b| >= 3 required for the restricted system")
+    if hi < lo:
+        raise ValueError(empty)
+    return tuple(islice(paper_order(lo), count))
+
+
 @dataclass(frozen=True)
 class AlphabetSelection:
     """A digit set F: an explicit list, a two-sided magnitude range, or a
@@ -186,20 +202,12 @@ class AlphabetSelection:
 
     @staticmethod
     def abs_range(lo: int, hi: int) -> "AlphabetSelection":
-        if lo < 3:
-            raise ValueError("digits |b| >= 3 required for the restricted system")
-        if hi < lo:
-            raise ValueError("empty range")
-        letters = tuple(islice(paper_order(lo), 2 * (hi - lo + 1)))
+        letters = _range_letters(lo, hi, "empty range")
         return AlphabetSelection("abs_range", letters, lo=lo, hi=hi)
 
     @staticmethod
     def cofinite(lo: int, trunc: int) -> "AlphabetSelection":
-        if lo < 3:
-            raise ValueError("digits |b| >= 3 required for the restricted system")
-        if trunc < lo:
-            raise ValueError("truncation below the lower bound")
-        letters = tuple(islice(paper_order(lo), 2 * (trunc - lo + 1)))
+        letters = _range_letters(lo, trunc, "truncation below the lower bound")
         return AlphabetSelection("cofinite", letters, lo=lo, trunc=trunc)
 
     @property

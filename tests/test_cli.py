@@ -284,16 +284,21 @@ def cli(*argv):
     return rc, out.getvalue(), err.getvalue()
 
 
-def fresh_cli(*argv, timeout=None):
-    """The console script in a fresh interpreter that imports this
-    checkout's package."""
+def _checkout_env():
+    """The environment of a fresh interpreter that imports this checkout's
+    package."""
     from nicfdim import cli as cli_module
 
     src = str(Path(cli_module.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def fresh_cli(*argv, timeout=None):
+    """The console script in a fresh interpreter."""
     return subprocess.run([sys.executable, "-m", "nicfdim.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=timeout)
+                          capture_output=True, text=True, env=_checkout_env(),
+                          timeout=timeout)
 
 
 def test_bits_is_an_appendix_option():
@@ -502,3 +507,37 @@ def test_huge_alphabets_and_one_letter_depths_exit_promptly(argv, code):
     proc = fresh_cli(*argv.split(), timeout=20)
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "nicf expand 4/11",
+    "nicf convergents -8/21",
+    "ledger --json",
+    "vertex-letters --count 100000",
+])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # the reader goes away before the child has imported the package
+    proc = subprocess.Popen([sys.executable, "-m", "nicfdim.cli", *argv.split()],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_checkout_env())
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1 and err == b""
+
+
+def test_dim_prints_the_depth_cap():
+    rc, out, _ = cli("dim", "--alphabet=-3,3", "--depth", "7", "--tol", "0.05")
+    assert rc == 0 and json.loads(out)["depth"] == 7
+
+
+@pytest.mark.parametrize("argv, code, depth", [
+    ("--target 0.3 --budget 4 --depth 6", 0, 6),
+    ("--target 1e-20 --budget 2 --depth 2", 3, 2),  # no letter certified
+])
+def test_spectrum_prints_its_depth_and_accepted_letters(argv, code, depth):
+    rc, out, _ = cli("spectrum", *argv.split())
+    trace = json.loads(out)
+    assert rc == code and trace["achieved"]["depth"] == depth
+    accepted = [d["letter"] for d in trace["decisions"] if d["accepted"]]
+    assert trace["final_F"] == accepted and (code == 0) == bool(accepted)

@@ -24,7 +24,6 @@ from nicfdim.pressure_dim import (
     appendix_example,
     classify_nature,
     dim_interval,
-    finiteness_exponent,
     partition_sum,
     pressure_bounds,
     vertex_system,
@@ -106,7 +105,7 @@ def test_pressure_width_bound():
         for n in (4, 8):
             pb = pressure_bounds(PM3, t, n)
             slack = F(1, 10 ** 6)
-            log_k = F(math.log(float(pb.k_used)))
+            log_k = F(math.log(float(DigitIfs(PM3).k_interval().hi)))
             assert pb.hi - pb.lo <= 2 * t * log_k / n + slack
 
 
@@ -218,12 +217,10 @@ def test_certificates_are_consistent():
 
 
 def test_finiteness_exponents():
-    assert finiteness_exponent(AlphabetSelection.cofinite(3, 40)).theta == F(1, 2)
-    assert finiteness_exponent(AlphabetSelection.cofinite(4, 40)).theta == F(1, 2)
-    assert finiteness_exponent(PM3).theta == 0
-    assert finiteness_exponent(vertex_system(4, 12)).theta == F(1, 2)
-    fe = finiteness_exponent(AlphabetSelection.cofinite(3, 40))
-    assert "integral test" in fe.witness["diverges_at"]
+    assert DigitIfs(AlphabetSelection.cofinite(3, 40)).theta == F(1, 2)
+    assert DigitIfs(AlphabetSelection.cofinite(4, 40)).theta == F(1, 2)
+    assert DigitIfs(PM3).theta == 0
+    assert vertex_system(4, 12).theta == F(1, 2)
 
 
 def test_vertex_tail_bound_contains_brute_force():
@@ -382,8 +379,7 @@ def test_full_pressure_closed_matches_eigenvalue_oracle(name, edges):
 
 def test_appendix_triangle6():
     ap = appendix_example("triangle6", {e: F(1, 4) for e in "abcdef"})
-    fe = finiteness_exponent(ap.vertex_ifs("v"))
-    assert fe.theta == 0
+    assert ap.vertex_ifs("v").theta == 0
     assert classify_nature(ap.vertex_ifs("v")) == "strongly regular"
     for t in (F(1, 4), F(1, 2)):
         closed = ap.closed_pressure("v", t, bits=128)
@@ -446,8 +442,8 @@ def test_lambda_sandwich_on_letter_addition():
     f_small = DigitIfs(PM3)
     f_big = DigitIfs(AlphabetSelection.explicit([-3, 3, -4]))
     for t in (F(1, 2), F(3, 4), F(1)):
-        lam_small = exp_interval(pressure_bounds(f_small, t, 10).interval())
-        lam_big = exp_interval(pressure_bounds(f_big, t, 8).interval())
+        lam_small = exp_interval(pressure_bounds(f_small, t, 10))
+        lam_big = exp_interval(pressure_bounds(f_big, t, 8))
         m_iv, m_big_iv = letter_constants(-4)
         from nicfdim.exactnum import interval_pow
         mt = interval_pow(m_iv, t, 64)
@@ -781,7 +777,7 @@ def test_dim_above_three_is_enclosed(monkeypatch):
     # end comes from doubling t, certified, never an uncertified 3
     probes = _recorded_probes(monkeypatch)
     di = dim_interval(SimilarityIfs(ratios=(F(1, 2),) * 100), 4, F(1, 100))
-    assert di.contains(F(math.log2(100))) and di.achieved()
+    assert di.contains(F(math.log2(100))) and di.width <= F(1, 100)
     assert probes[:4] == [1, 2, 4, 8]
     assert len(probes) == len(set(probes))
 
@@ -845,3 +841,23 @@ def test_float_range_depth_is_refused_before_any_word(monkeypatch):
         partition_sum(cofinite, F(1, 2), _FLOAT_DEPTH)
     with pytest.raises(NumericRangeError, match="float range"):
         partition_sum(cofinite, F(3, 4), _FLOAT_DEPTH)
+
+
+@pytest.mark.parametrize("depth", [0, -3])
+@pytest.mark.parametrize("system", [
+    DigitIfs(PM3), DigitIfs(S3), SimilarityIfs(ratios=(F(1, 3), F(1, 3)))],
+    ids=["pm3", "3", "similarity"])
+def test_depth_cap_below_one_is_refused(system, depth):
+    # the ladder turns the cap into depths, so it refuses a cap that
+    # allows none, instead of walking depth 1 or failing deeper down
+    with pytest.raises(ValueError, match=f"max_depth >= 1, got {depth}"):
+        system.ladder(depth, pressure_dim.WORD_BUDGET)
+    with pytest.raises(ValueError, match="max_depth"):
+        dim_interval(system, depth, F(1, 50))
+
+
+def test_similarity_system_needs_a_letter():
+    with pytest.raises(ValueError, match="empty alphabet"):
+        SimilarityIfs()
+    assert SimilarityIfs(ratios=(F(1, 2),)).letter_count == 1
+    assert SimilarityIfs(families=((F(1, 2), F(1, 3)),)).letter_count == 1

@@ -176,6 +176,12 @@ def test_construct_validation():
         construct(F(1, 2), "phi_f", 0, 4)
 
 
+def test_construct_refuses_depth_zero():
+    # the depth ladder refuses the cap before any letter is decided
+    with pytest.raises(ValueError, match="max_depth >= 1, got 0"):
+        construct(F(3, 10), "phi_f", 6, 0)
+
+
 def test_rejection_does_not_preclude_later_letters():
     trace = construct(F(3, 10), "phi_f", budget=10, depth=9)
     flags = [d.accepted for d in trace.decisions]

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from nicfdim import symbolic
 from nicfdim.nicf_system import BarredLetter, nicf_barred_graph
 from nicfdim.symbolic import (
     AlphabetSelection,
@@ -154,3 +155,13 @@ def test_selection_forms():
         AlphabetSelection.explicit([])
     with pytest.raises(ValueError):
         AlphabetSelection.explicit([3, 3])
+
+
+def test_range_forms_are_capped_before_any_letter_is_built(monkeypatch):
+    def no_letters(lo):
+        raise AssertionError("a range letter was built")
+
+    monkeypatch.setattr(symbolic, "paper_order", no_letters)
+    for make in (AlphabetSelection.abs_range, AlphabetSelection.cofinite):
+        with pytest.raises(ValueError, match="1,999,999,996 letters, over 100,000"):
+            make(3, 10 ** 9)
