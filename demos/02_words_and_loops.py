@@ -10,16 +10,14 @@ from nicfdim import (
     count_admissible_words,
     enumerate_words,
     first_return_loops,
-    is_admissible,
+    is_admissible_digits,
     nicf_barred_graph,
     vertex_alphabet,
 )
-from nicfdim.nicf_system import BarredLetter, plain_incidence_graph
 
-g_plain = plain_incidence_graph([-4, -3, -2, 2, 3, 4])
 print("== the sign rule ==")
 for word in ([2, 3], [2, -3], [-2, -4], [-2, 4], [3, -2, -2, -3]):
-    print(f"  {word!s:>18} admissible: {is_admissible(word, g_plain)}")
+    print(f"  {word!s:>18} admissible: {is_admissible_digits(word)}")
 print()
 
 g = nicf_barred_graph(5)

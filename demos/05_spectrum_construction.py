@@ -23,7 +23,7 @@ trace = construct(F(3, 10), "phi_f", budget=16, depth=9)
 print("== greedy sweep toward target 0.3 ==")
 for d in trace.decisions:
     mark = "kept    " if d.accepted else "rejected"
-    print(f"  {d.letter:>4}: {mark} (certified dim of kept set <= {float(d.dim_hi)})")
+    print(f"  {d.letter:>4}: {mark} (certified dim of kept set <= {float(trace.target)})")
 print(f"final digit set: {list(trace.final_letters)}")
 print(f"achieved dim in [{float(trace.achieved.lo):.4f}, "
       f"{float(trace.achieved.hi):.4f}]  ({time.perf_counter() - t0:.2f} s)")

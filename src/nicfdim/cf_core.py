@@ -4,7 +4,7 @@ Digits here are the signed integers produced by the nearest-integer map
 T(x) = 1/x - round(1/x) on [-1/2, 1/2]; the digit is b(x) = floor(1/x + 1/2)
 (half rounded up), so |b| >= 2 always and T maps back into [-1/2, 1/2).
 A digit 2 is always followed by a positive digit and -2 by a negative one,
-which is exactly the incidence rule of the associated graph system.
+which the barred three-vertex graph of ``nicf_system`` encodes by vertices.
 
 ``Word`` caches the convergent pairs (p_n, q_n) of a digit string, the
 engine behind every exact derivative and distortion formula downstream:

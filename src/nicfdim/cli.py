@@ -10,7 +10,8 @@ Subcommands map one-to-one onto library capabilities:
     vertex-letters                              the induced-alphabet ordering
     appendix                                    worked similarity systems
 
-Exit codes: 0 success, 1 stdout closed by its reader (no traceback), 2
+Exit codes: 0 success, 1 the output could not be written (one ``error:``
+line, or nothing when the reader closed stdout; never a traceback), 2
 parse errors, 3 indeterminate certification (a dimension tolerance that
 was not achieved, or a ``spectrum`` sweep that certified no letter), 4
 a numeric-range failure (a word denominator, partition sum or any other
@@ -390,9 +391,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = _DISPATCH[args.cmd](args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # the reader closed stdout: send the interpreter's last flush nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # a closed or full stdout, a --csv path in no directory
+        try:
+            sys.stdout.flush()  # never fails on a StringIO or a capture
+        except OSError:  # stdout failed: send the interpreter's last flush nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a reader that left hears nothing
+            print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)

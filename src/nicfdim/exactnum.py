@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 #: ulp padding applied to libm results (log/exp/pow).

@@ -27,7 +27,7 @@ from functools import cache
 from itertools import count, islice
 from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
-from .cf_core import HALF, Word, admissible_pair
+from .cf_core import HALF, Word
 from .exactnum import Interval, surd_enclosure
 from .symbolic import GraphSystem
 
@@ -178,10 +178,6 @@ class LoopLetter:
     def word_digits(self) -> Tuple[int, ...]:
         return (self.sign * 2,) * self.j + (self.sign * self.k,)
 
-    @property
-    def word(self) -> Word:
-        return Word(self.word_digits)
-
     def __len__(self) -> int:
         return self.j + 1
 
@@ -266,15 +262,3 @@ def nicf_barred_graph(k_max: int) -> GraphSystem:
         add(BarredLetter(-k, True), z, v)
     return GraphSystem((v, w, z), tuple(edges), initial, terminal)
 
-
-def plain_incidence_graph(letters: Sequence[int]) -> GraphSystem:
-    """Single-vertex view of the unbarred alphabet with the sign rule
-    2 -> positive, -2 -> negative as an explicit incidence predicate.
-
-    Not a graph-directed system (that needs the barred copies); used for
-    admissibility queries on digit strings.
-    """
-    ls = tuple(int(b) for b in letters)
-    init = {b: "*" for b in ls}
-    return GraphSystem(("*",), ls, init, dict(init),
-                       incidence=lambda e, f: admissible_pair(e, f))

@@ -179,7 +179,7 @@ def _cofinite_tail(trunc: int, t: Fraction) -> Interval:
 
 @dataclass(frozen=True)
 class LoopIfs(_WordTreeIfs):
-    """A finite set of vertex loop letters or, with ``tail = (j_max,
+    """A non-empty set of distinct vertex loop letters or, with ``tail = (j_max,
     k_max)``, the full induced alphabet: ``letters`` is then exactly the
     grid j <= j_max, k <= k_max and the letters beyond it are the tail."""
 
@@ -187,6 +187,10 @@ class LoopIfs(_WordTreeIfs):
     tail: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
+        if not self.letters:
+            raise ValueError("empty alphabet")
+        if len(set(self.letters)) != len(self.letters):
+            raise ValueError("duplicate letters")
         if self.tail is not None and tuple(self.letters) != _vertex_grid(*self.tail):
             raise ValueError("a tailed LoopIfs needs exactly the letters of its grid")
 
@@ -566,8 +570,7 @@ _NATURE_GRID = (Fraction(9, 16), Fraction(5, 8), Fraction(3, 4), Fraction(7, 8),
 _NATURE_DEPTH = 6
 
 
-def classify_nature(system, *,
-                    t_samples: Optional[Sequence[Fraction]] = None) -> str:
+def classify_nature(system) -> str:
     """Certified regularity classification; 'indeterminate' when the
     sampled certificates decide nothing.
 
@@ -583,8 +586,7 @@ def classify_nature(system, *,
         if system.letter_count >= 2:
             return "strongly regular"  # 0 < P(0) = log(count) < inf, exactly
         return "critically regular"    # singleton: P(theta) = P(0) = 0
-    for t in (_NATURE_GRID if t_samples is None else t_samples):
-        t = Fraction(t)
+    for t in _NATURE_GRID:
         if t > theta and _sign_verdict(system, t, _NATURE_DEPTH,
                                        WORD_BUDGET) > 0:
             return "strongly regular"

@@ -22,7 +22,9 @@ the target is rejected; the achieved interval can only approach the
 target from below.  The orderings are not stated here: phi_f walks
 ``symbolic.paper_order(3)`` (``phi_f_ordering``) and phi_v the block
 order of ``nicf_system.vertex_alphabet``.  The trace keeps the letter
-sequence once, as its decisions; ``achieved`` is a plain ``Interval``.
+sequence once, as its decisions (a letter and whether it was kept; every
+kept set's dimension lies in [0, target]); ``achieved`` is a plain
+``Interval``.
 """
 
 from __future__ import annotations
@@ -121,14 +123,18 @@ class ComparisonRow:
     rhs_lo: Optional[float] = None
 
 
-def direct_lambda_comparison(f_small, f_large, t_grid: Sequence[Fraction], *,
-                             depth: int = 8) -> List[ComparisonRow]:
+_DIRECT_DEPTH = 8  # depth cap of the pressure ladders in a direct comparison
+
+
+def direct_lambda_comparison(f_small, f_large,
+                             t_grid: Sequence[Fraction]) -> List[ComparisonRow]:
     """Certify lambda_{F_small}(t) <= lambda_{F_large}(t) per grid point.
 
     Auto-pass where the large side diverges (t at or below its finiteness
     exponent).  Against a cofinite digit tail with 1/2 < t <= 1 the chain
     lambda_small <= Z_1(small) and lambda_large >= Z_1(large) / K_large
-    decides at depth one; otherwise generic pressure bounds are compared.
+    decides at depth one; otherwise pressure bounds over the depth ladders
+    up to ``_DIRECT_DEPTH`` are compared.
     Past the large side's exponent only the small side can diverge
     (``DivergentTailError``); that t is reported indeterminate, with no
     bounds.
@@ -153,18 +159,18 @@ def direct_lambda_comparison(f_small, f_large, t_grid: Sequence[Fraction], *,
                     row = ComparisonRow(t, "pass", "z1-chain",
                                         float_up(z1s.hi), float_down(rhs.lo))
             if row is None:
-                row = _pressure_comparison(small, large, t, depth)
+                row = _pressure_comparison(small, large, t)
         except DivergentTailError:
             row = ComparisonRow(t, "indeterminate", "pressure")
         rows.append(row)
     return rows
 
 
-def _pressure_comparison(small, large, t, depth) -> ComparisonRow:
+def _pressure_comparison(small, large, t) -> ComparisonRow:
     best_hi = min(pressure_bounds(small, t, n).hi
-                  for n in small.ladder(depth, WORD_BUDGET))
+                  for n in small.ladder(_DIRECT_DEPTH, WORD_BUDGET))
     best_lo = max(pressure_bounds(large, t, n).lo
-                  for n in large.ladder(depth, WORD_BUDGET))
+                  for n in large.ladder(_DIRECT_DEPTH, WORD_BUDGET))
     verdict = "pass" if best_hi <= best_lo else "indeterminate"
     return ComparisonRow(t, verdict, "pressure",
                          float_up(best_hi), float_down(best_lo))
@@ -178,8 +184,6 @@ def _pressure_comparison(small, large, t, depth) -> ComparisonRow:
 class Decision:
     letter: str
     accepted: bool
-    dim_lo: Fraction    # certified bounds of the accepted set after the step
-    dim_hi: Fraction
 
 
 @dataclass(frozen=True)
@@ -202,7 +206,7 @@ class SpectrumTrace:
             "ordering": [d.letter for d in self.decisions],
             "decisions": [
                 {"letter": d.letter, "accepted": d.accepted,
-                 "dim_lo": float_down(d.dim_lo), "dim_hi": float_up(d.dim_hi)}
+                 "dim_lo": 0.0, "dim_hi": float_up(self.target)}
                 for d in self.decisions
             ],
             "final_F": list(self.final_letters),
@@ -266,7 +270,7 @@ def construct(target, system: str, budget: int, depth: int) -> SpectrumTrace:
                            _CONSTRUCT_WORD_BUDGET) < 0
         if ok:
             accepted = tentative
-        decisions.append(Decision(str(letter), ok, Fraction(0), target))
+        decisions.append(Decision(str(letter), ok))
 
     if accepted:
         achieved = dim_interval(make(accepted), depth, _ACHIEVED_TOL,

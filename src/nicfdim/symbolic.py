@@ -1,28 +1,29 @@
 """Graph systems, alphabet selections and admissible-word enumeration.
 
-A ``GraphSystem`` is a finite-vertex directed multigraph (V, E, i, t)
-with an incidence predicate A on edge pairs; A(e, f) = 1 forces
-t(e) = i(f), and by default A is exactly that vertex-matching rule.
-Words are tuples of edge labels; enumeration is depth-first in the
-caller's letter order, so output order is deterministic.
+A ``GraphSystem`` is a finite-vertex directed multigraph (V, E, i, t):
+edge f may follow edge e exactly when t(e) = i(f).  The nearest-integer
+sign rule (``cf_core.admissible_pair``) is encoded that way by the
+barred three-vertex graph of ``nicf_system``.  Words are tuples of edge
+labels; enumeration is depth-first in the caller's letter order, so
+output order is deterministic.
 
 First-return loops at a vertex v are the admissible loops based at v
 that never revisit v at a proper prefix; they form the alphabet of the
 iterated function system induced at v.
 
 Digit alphabets: ``paper_order(lo)`` is the one home of the paper's
-digit order -lo, lo, -(lo+1), lo+1, ...; ``AlphabetSelection`` takes its
-range letters from it and is the one home of the alphabet rules: explicit
-digits are distinct with |b| >= 2, and the range forms need |b| >= 3, a
-non-empty range (a truncation no lower than the lower bound) and at most
-``MAX_RANGE_LETTERS`` letters.
+digit order -lo, lo, -(lo+1), lo+1, ...; ``AlphabetSelection`` (letters
+plus a truncation) takes its range letters from it and is the one home
+of the alphabet rules: explicit digits are distinct with |b| >= 2, and
+the range forms need |b| >= 3, a non-empty range (a truncation no lower
+than the lower bound) and at most ``MAX_RANGE_LETTERS`` letters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count, islice
-from typing import Callable, Dict, Hashable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Mapping, Sequence, Tuple
 
 Edge = Hashable
 WordT = Tuple[Edge, ...]
@@ -34,30 +35,21 @@ class GraphSystem:
     edges: Tuple[Edge, ...]
     initial: Mapping[Edge, Hashable]
     terminal: Mapping[Edge, Hashable]
-    incidence: Optional[Callable[[Edge, Edge], bool]] = field(default=None)
 
     def __post_init__(self):
         vs = set(self.vertices)
         for e in self.edges:
             if self.initial[e] not in vs or self.terminal[e] not in vs:
                 raise ValueError(f"edge {e!r} touches an unknown vertex")
-        for e in self.edges:
-            if not any(self.allowed(e, f) for f in self.edges):
-                raise ValueError(f"edge {e!r} has no successor")
         out = {self.initial[e] for e in self.edges}
+        for e in self.edges:
+            if self.terminal[e] not in out:
+                raise ValueError(f"edge {e!r} has no successor")
         for v in self.vertices:
             if v not in out:
                 raise ValueError(f"vertex {v!r} has no outgoing edge")
-        if self.incidence is not None:
-            for e in self.edges:
-                for f in self.edges:
-                    if self.allowed(e, f) and self.terminal[e] != self.initial[f]:
-                        raise ValueError(
-                            f"incidence allows {e!r}->{f!r} across mismatched vertices")
 
     def allowed(self, e: Edge, f: Edge) -> bool:
-        if self.incidence is not None:
-            return bool(self.incidence(e, f))
         return self.terminal[e] == self.initial[f]
 
     def check_edge(self, e: Edge) -> None:
@@ -66,18 +58,15 @@ class GraphSystem:
 
 
 def is_admissible(word: Sequence[Edge], g: GraphSystem) -> bool:
-    """True iff every consecutive pair of letters is incidence-allowed."""
+    """True iff each letter of the word starts where the one before ends."""
     for e in word:
         g.check_edge(e)
     return all(g.allowed(e, f) for e, f in zip(word, word[1:]))
 
 
-def enumerate_words(g: GraphSystem, letters, n: int) -> Iterator[WordT]:
-    """All admissible length-n words over the given letters (a sequence or
-    an AlphabetSelection), lexicographic in the letter order.  n = 0
-    yields the empty word."""
-    if isinstance(letters, AlphabetSelection):
-        letters = letters.letters
+def enumerate_words(g: GraphSystem, letters: Sequence[Edge], n: int) -> Iterator[WordT]:
+    """All admissible length-n words over the given letters, lexicographic
+    in the letter order.  n = 0 yields the empty word."""
     for e in letters:
         g.check_edge(e)
     if n == 0:
@@ -99,7 +88,7 @@ def enumerate_words(g: GraphSystem, letters, n: int) -> Iterator[WordT]:
 
 
 def count_admissible_words(g: GraphSystem, letters: Sequence[Edge], n: int) -> int:
-    """Path count via the incidence matrix power, for cross-checks."""
+    """Path count via the edge adjacency matrix power, for cross-checks."""
     if n == 0:
         return 1
     counts = {e: 1 for e in letters}
@@ -174,18 +163,13 @@ def _range_letters(lo: int, hi: int, empty: str) -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class AlphabetSelection:
-    """A digit set F: an explicit list, a two-sided magnitude range, or a
-    cofinite selection |b| >= lo carried as (truncated letters, tail).
-
-    ``letters`` is the finite (or truncated) part in enumeration order;
-    cofinite selections keep ``tail_min``, the smallest magnitude not
-    enumerated, so pressure code can attach rigorous integral-test tails.
+    """A digit set F: ``letters`` in enumeration order and, for a cofinite
+    selection |b| >= lo, the truncation ``trunc``: the letters stop at
+    |b| = trunc and pressure code bounds the magnitudes beyond it by
+    rigorous integral-test tails.  ``trunc = 0`` marks a finite set.
     """
 
-    kind: str  # "explicit" | "abs_range" | "cofinite"
     letters: Tuple[int, ...]
-    lo: int = 0
-    hi: int = 0
     trunc: int = 0
 
     @staticmethod
@@ -198,35 +182,20 @@ class AlphabetSelection:
                 raise ValueError(f"digit {b} has |b| < 2")
         if len(set(ls)) != len(ls):
             raise ValueError("duplicate letters")
-        return AlphabetSelection("explicit", ls)
+        return AlphabetSelection(ls)
 
     @staticmethod
     def abs_range(lo: int, hi: int) -> "AlphabetSelection":
-        letters = _range_letters(lo, hi, "empty range")
-        return AlphabetSelection("abs_range", letters, lo=lo, hi=hi)
+        return AlphabetSelection(_range_letters(lo, hi, "empty range"))
 
     @staticmethod
     def cofinite(lo: int, trunc: int) -> "AlphabetSelection":
         letters = _range_letters(lo, trunc, "truncation below the lower bound")
-        return AlphabetSelection("cofinite", letters, lo=lo, trunc=trunc)
+        return AlphabetSelection(letters, trunc)
 
     @property
     def is_cofinite(self) -> bool:
-        return self.kind == "cofinite"
-
-    @property
-    def tail_min(self) -> int:
-        """Smallest magnitude beyond the truncation (cofinite only)."""
-        if not self.is_cofinite:
-            raise ValueError("finite selection has no tail")
-        return self.trunc + 1
+        return self.trunc > 0
 
     def min_magnitude(self) -> int:
         return min(abs(b) for b in self.letters)
-
-    def spec_string(self) -> str:
-        if self.kind == "explicit":
-            return ",".join(str(b) for b in self.letters)
-        if self.kind == "abs_range":
-            return f"abs:{self.lo}..{self.hi}"
-        return f"absmin:{self.lo}:{self.trunc}"

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from nicfdim.cli import (
     _parse_t_grid, build_parser, main, parse_alphabet_spec, SpecParseError)
+from nicfdim.symbolic import AlphabetSelection
 
 
 def run(capsys, *argv):
@@ -27,16 +28,16 @@ def run(capsys, *argv):
 def test_parse_explicit_and_roundtrip():
     sel = parse_alphabet_spec("-3,3")
     assert sel.letters == (-3, 3)
-    assert parse_alphabet_spec(sel.spec_string()).letters == sel.letters
+    assert sel == AlphabetSelection.explicit([-3, 3])
 
 
 def test_parse_abs_forms():
     sel = parse_alphabet_spec("abs:3..4")
     assert sel.letters == (-3, 3, -4, 4)
-    assert parse_alphabet_spec(sel.spec_string()) == sel
+    assert sel == AlphabetSelection.abs_range(3, 4)
     sel = parse_alphabet_spec("absmin:3:100")
-    assert sel.is_cofinite and sel.trunc == 100 and sel.tail_min == 101
-    assert parse_alphabet_spec(sel.spec_string()) == sel
+    assert sel.is_cofinite and sel.trunc == 100
+    assert sel == AlphabetSelection.cofinite(3, 100)
     assert parse_alphabet_spec(" abs: 3 .. 5 ").letters == (-3, 3, -4, 4, -5, 5)
 
 
@@ -260,7 +261,6 @@ def test_pressure_underflow_exits_numeric_range(capsys):
 
 def test_pressure_csv_bounds_are_outward(tmp_path, capsys):
     from nicfdim.pressure_dim import DigitIfs, pressure_bounds
-    from nicfdim.symbolic import AlphabetSelection
     path = tmp_path / "c.csv"
     rc, _, _ = run(capsys, "pressure", "--alphabet", "-3,3",
                    "--t-grid", "0.5:0.5:0.1", "--depth", "6", "--csv", str(path))
@@ -524,6 +524,25 @@ def test_closed_stdout_exits_1_without_a_traceback(argv):
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1 and err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_1_with_one_error_line():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "nicfdim.cli", "ledger", "--json"],
+                              stdout=full, stderr=subprocess.PIPE, text=True,
+                              env=_checkout_env(), timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_unwritable_csv_path_exits_1_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    rc = main(["pressure", "--alphabet=-3,3", "--t-grid", "0.5:0.5:1", "--csv", str(path)])
+    out = capsys.readouterr()
+    assert rc == 1 and out.out == "" and not path.exists()
+    assert out.err.startswith("error:") and len(out.err.splitlines()) == 1
 
 
 def test_dim_prints_the_depth_cap():

@@ -190,7 +190,7 @@ def test_letter_constants_bracket_norms():
     sample = rng.sample(letters, 100)
     for letter in sample:
         m, big = letter_constants(letter)
-        inf, sup = norm_bounds(letter.word)
+        inf, sup = norm_bounds(letter.word_digits)
         assert m.hi <= sup
         assert sup <= big.hi + F(1, 2 ** 60)
         assert m.hi <= inf + F(1, 2 ** 60)

@@ -402,17 +402,25 @@ def test_appendix_triangle6_turned_loops():
             assert enc.lo <= closed.lo and closed.hi <= enc.hi
 
 
-def test_classify_nature():
+def test_classify_nature(monkeypatch):
     assert classify_nature(PM3) == "strongly regular"
     assert classify_nature(S3) == "critically regular"
     assert classify_nature(AlphabetSelection.cofinite(3, 40)) == "strongly regular"
     # an empty sample grid decides nothing for a tailed system
-    assert classify_nature(AlphabetSelection.cofinite(3, 40),
-                           t_samples=[]) == "indeterminate"
+    monkeypatch.setattr(pressure_dim, "_NATURE_GRID", ())
+    assert classify_nature(AlphabetSelection.cofinite(3, 40)) == "indeterminate"
     # samples at or below theta = 1/2 are skipped, not read through the
     # divergence of Z_n there
-    assert classify_nature(AlphabetSelection.cofinite(3, 40),
-                           t_samples=[F(1, 2), F(1, 4)]) == "indeterminate"
+    monkeypatch.setattr(pressure_dim, "_NATURE_GRID", (F(1, 2), F(1, 4)))
+    assert classify_nature(AlphabetSelection.cofinite(3, 40)) == "indeterminate"
+
+
+def test_loop_system_needs_distinct_letters():
+    with pytest.raises(ValueError, match="empty alphabet"):
+        LoopIfs(())
+    letter = LoopLetter(1, 0, 3)
+    with pytest.raises(ValueError, match="duplicate letters"):
+        LoopIfs((letter, LoopLetter(-1, 0, 3), letter))
 
 
 def test_classify_nature_claims_no_irregularity():
@@ -738,7 +746,7 @@ def _walk_down_ladder(system, max_depth, word_budget):
 
 def test_ladder_matches_a_walk_down_reference():
     letters = tuple(vertex_alphabet(40))
-    for count in range(41):
+    for count in range(1, 41):  # a loop system has at least one letter
         system = LoopIfs(letters[:count])
         for max_depth in range(1, 65):
             for budget in (1, 100, 4096, pressure_dim.WORD_BUDGET, 10 ** 7):

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from nicfdim.exactnum import Interval
+from nicfdim import spectrum
+from nicfdim.exactnum import Interval, float_up
 from nicfdim.ledger import phi_v_sides, run_case
 from nicfdim.nicf_system import K_GLOBAL, LoopLetter
 from nicfdim.pressure_dim import DigitIfs, LoopIfs, vertex_system
@@ -98,7 +99,15 @@ def test_direct_comparison_reflexive():
     assert rows[0].verdict == "pass"
 
 
-def test_direct_comparison_equal_letters_are_not_equal_systems():
+def test_direct_comparison_equal_selections_are_equal_systems():
+    small = DigitIfs(AlphabetSelection.explicit([-3, 3]))
+    large = DigitIfs(AlphabetSelection.abs_range(3, 3))
+    rows = direct_lambda_comparison(small, large, [F(3, 4)])
+    assert [(r.verdict, r.method) for r in rows] == [("pass", "pressure")]
+
+
+def test_direct_comparison_equal_letters_are_not_equal_systems(monkeypatch):
+    monkeypatch.setattr(spectrum, "_DIRECT_DEPTH", 4)
     # each left side has the right side's letters plus a tail of further
     # letters, so its lambda is strictly larger: no row may pass
     vertex = vertex_system(1, 4)
@@ -106,7 +115,7 @@ def test_direct_comparison_equal_letters_are_not_equal_systems():
               DigitIfs(AlphabetSelection.explicit([-3, 3]))),
              (vertex, LoopIfs(vertex.letters)))
     for small, large in pairs:
-        rows = direct_lambda_comparison(small, large, [F(3, 4), F(1)], depth=4)
+        rows = direct_lambda_comparison(small, large, [F(3, 4), F(1)])
         assert [r.verdict for r in rows] == ["indeterminate", "indeterminate"]
 
 
@@ -141,11 +150,20 @@ def test_construct_target_one_accepts_all():
 
 def test_construct_intermediate_target():
     trace = construct(F(3, 10), "phi_f", budget=10, depth=9)
-    assert all(d.dim_hi <= F(3, 10) for d in trace.decisions)
+    payload = trace.to_json_dict()
+    assert all(d["dim_hi"] <= 0.3 + 1e-12 for d in payload["decisions"])
     assert trace.achieved.hi <= F(3, 10)
     assert trace.achieved.lo > F(1, 10)
     # monotone: the accepted set's upper certificate never exceeds target
     assert trace.final_letters  # nonempty
+
+
+@pytest.mark.parametrize("system, target", [("phi_f", F(3, 10)), ("phi_v", F(1, 4))])
+def test_json_step_bounds_are_zero_and_the_target(system, target):
+    payload = construct(target, system, budget=6, depth=6).to_json_dict()
+    assert payload["decisions"]
+    for d in payload["decisions"]:
+        assert d["dim_lo"] == 0.0 and d["dim_hi"] == float_up(target)
 
 
 def test_construct_achieved_never_above_target():

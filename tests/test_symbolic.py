@@ -5,6 +5,8 @@ import itertools
 import pytest
 
 from nicfdim import symbolic
+from nicfdim.cli import parse_alphabet_spec
+from nicfdim.cf_core import is_admissible_digits
 from nicfdim.nicf_system import BarredLetter, nicf_barred_graph
 from nicfdim.symbolic import (
     AlphabetSelection,
@@ -33,26 +35,20 @@ def test_graph_validation():
         GraphSystem(("v", "w"), ("a",), {"a": "v"}, {"a": "w"})
     with pytest.raises(ValueError, match="no outgoing"):
         GraphSystem(("v", "w"), ("a",), {"a": "v"}, {"a": "v"})
-    with pytest.raises(ValueError, match="mismatched"):
-        GraphSystem(("v", "w"), ("a", "b"), {"a": "v", "b": "w"},
-                    {"a": "w", "b": "v"}, incidence=lambda e, f: True if e == f else True)
 
 
 def test_is_admissible_plain_nicf():
-    from nicfdim.nicf_system import plain_incidence_graph
-    g = plain_incidence_graph([-5, -4, -3, -2, 2, 3, 4, 5])
-    assert is_admissible([2, 3], g)
-    assert not is_admissible([2, -3], g)
-    assert is_admissible([5], g)
-    assert is_admissible([-2, -2, -3], g)
-    assert not is_admissible([-2, 2], g)
+    assert is_admissible_digits([2, 3])
+    assert not is_admissible_digits([2, -3])
+    assert is_admissible_digits([5])
+    assert is_admissible_digits([-2, -2, -3])
+    assert not is_admissible_digits([-2, 2])
     with pytest.raises(ValueError, match="unknown letter"):
-        is_admissible([9], g)
+        is_admissible([9], nicf_barred_graph(5))
 
 
 def test_enumerate_full_shift_count():
-    from nicfdim.nicf_system import plain_incidence_graph
-    g = plain_incidence_graph([-3, 3])
+    g = GraphSystem(("*",), (-3, 3), {-3: "*", 3: "*"}, {-3: "*", 3: "*"})
     words = list(enumerate_words(g, [-3, 3], 3))
     assert len(words) == 8
     assert len(set(words)) == 8
@@ -147,14 +143,19 @@ def test_selection_forms():
     assert sel.letters == (-3, 3, -4, 4)
     sel = AlphabetSelection.cofinite(3, 6)
     assert sel.letters == (-3, 3, -4, 4, -5, 5, -6, 6)
-    assert sel.is_cofinite and sel.tail_min == 7
-    assert sel.spec_string() == "absmin:3:6"
+    assert sel.is_cofinite and sel.trunc == 6
+    assert parse_alphabet_spec("absmin:3:6") == sel
     with pytest.raises(ValueError):
         AlphabetSelection.abs_range(2, 5)
     with pytest.raises(ValueError):
         AlphabetSelection.explicit([])
     with pytest.raises(ValueError):
         AlphabetSelection.explicit([3, 3])
+
+
+def test_a_selection_is_its_letters_and_truncation():
+    assert AlphabetSelection.explicit([-3, 3]) == AlphabetSelection.abs_range(3, 3)
+    assert AlphabetSelection.cofinite(3, 3) != AlphabetSelection.explicit([-3, 3])
 
 
 def test_range_forms_are_capped_before_any_letter_is_built(monkeypatch):
